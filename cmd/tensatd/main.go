@@ -18,7 +18,6 @@
 //	GET    /v1/readyz           — readiness probe (503 while draining)
 //	GET    /metrics             — Prometheus text exposition
 //	POST   /optimize            — deprecated synchronous shim
-//	GET    /stats, /healthz     — deprecated pre-/v1 spellings
 //	GET/PUT /v1/peer/cache/{key} — internal node-to-node cache surface
 //
 // Fleet operation: -store-dir persists results on disk so a restarted
@@ -34,7 +33,7 @@
 // (-peer-breaker-failures / -peer-breaker-cooldown) with jittered
 // retry for idempotent fetches (-peer-retries); store I/O failures
 // flip the disk tier into degraded mode while memory keeps serving;
-// SIGTERM drains gracefully — /readyz turns 503, running jobs finish
+// SIGTERM drains gracefully — /v1/readyz turns 503, running jobs finish
 // under -drain-timeout. -fault-spec arms deterministic fault
 // injection for chaos testing (development only, never production).
 // See the README's "Failure modes and the degradation ladder" section.
@@ -353,7 +352,7 @@ func main() {
 		fatal("serve", "error", err)
 	case <-ctx.Done():
 	}
-	// Graceful drain: flip /readyz to 503 so load balancers stop routing
+	// Graceful drain: flip /v1/readyz to 503 so load balancers stop routing
 	// here, refuse new work with 503 + Retry-After, and give running
 	// jobs up to -drain-timeout to finish before closing the listener.
 	logger.Info("shutting down — draining", "timeout", *drainTimeout)

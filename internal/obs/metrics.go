@@ -195,6 +195,22 @@ type CounterVec struct{ v *vec[*Counter] }
 // first use). The number of values must match the declared label keys.
 func (cv *CounterVec) With(values ...string) *Counter { return cv.v.with(values...) }
 
+// Values snapshots every child's count, keyed by its label values
+// joined with "/" (e.g. "taso-default/t4"). It returns nil when no
+// child exists yet.
+func (cv *CounterVec) Values() map[string]uint64 {
+	cv.v.mu.Lock()
+	defer cv.v.mu.Unlock()
+	if len(cv.v.children) == 0 {
+		return nil
+	}
+	out := make(map[string]uint64, len(cv.v.children))
+	for key, c := range cv.v.children {
+		out[strings.ReplaceAll(key, "\x00", "/")] = c.child.Value()
+	}
+	return out
+}
+
 // GaugeVec is a gauge family partitioned by label values.
 type GaugeVec struct{ v *vec[*Gauge] }
 

@@ -145,3 +145,57 @@ func TestConcurrentScrape(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+func TestCounterVecValues(t *testing.T) {
+	cv := NewRegistry().CounterVec("solves_total", "", "solver", "outcome")
+	if got := cv.Values(); got != nil {
+		t.Fatalf("values with no children = %v, want nil", got)
+	}
+	cv.With("builtin", "optimal").Inc()
+	cv.With("builtin", "optimal").Add(2)
+	cv.With("cbc", "feasible").Inc()
+	got := cv.Values()
+	want := map[string]uint64{"builtin/optimal": 3, "cbc/feasible": 1}
+	if len(got) != len(want) {
+		t.Fatalf("values = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("values = %v, want %v", got, want)
+		}
+	}
+	// The snapshot is a copy: later increments do not reach it.
+	cv.With("cbc", "feasible").Inc()
+	if got["cbc/feasible"] != 1 || cv.Values()["cbc/feasible"] != 2 {
+		t.Fatalf("snapshot %v / live %v after Inc", got, cv.Values())
+	}
+}
+
+// TestCounterVecValuesConcurrent reads Values while other goroutines
+// create and bump children; run under -race.
+func TestCounterVecValuesConcurrent(t *testing.T) {
+	cv := NewRegistry().CounterVec("spin_total", "", "site")
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(site string) {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				cv.With(site).Inc()
+			}
+		}(string(rune('a' + i)))
+	}
+	for i := 0; i < 100; i++ {
+		_ = cv.Values()
+	}
+	wg.Wait()
+	got := cv.Values()
+	if len(got) != 4 {
+		t.Fatalf("values = %v, want 4 sites", got)
+	}
+	for site, v := range got {
+		if v != 1000 {
+			t.Fatalf("site %s = %d, want 1000", site, v)
+		}
+	}
+}

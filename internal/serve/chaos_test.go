@@ -411,7 +411,7 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 }
 
-// TestDrainHTTP: the HTTP surface of a draining node — /readyz flips
+// TestDrainHTTP: the HTTP surface of a draining node — /v1/readyz flips
 // to 503, submissions answer 503 with the "draining" code and a
 // Retry-After, and an open SSE stream receives a terminal "draining"
 // event instead of hanging.
@@ -433,7 +433,7 @@ func TestDrainHTTP(t *testing.T) {
 
 	readyz := func() (int, ReadyzReply) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/readyz")
+		resp, err := http.Get(ts.URL + "/v1/readyz")
 		if err != nil {
 			t.Fatal(err)
 		}

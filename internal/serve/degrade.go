@@ -89,7 +89,7 @@ func (g *storeGuard) observe(err error) {
 	}
 }
 
-// isDegraded reports the current mode (the gauge and /readyz source).
+// isDegraded reports the current mode (the gauge and /v1/readyz source).
 func (g *storeGuard) isDegraded() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -118,7 +118,7 @@ func (g *storeGuard) put(key string, payload []byte) error {
 }
 
 // drainState coordinates graceful shutdown: begin flips the service
-// into draining mode (new submissions fail with ErrDraining, /readyz
+// into draining mode (new submissions fail with ErrDraining, /v1/readyz
 // answers 503, SSE streams terminate), and wait blocks until every
 // tracked asynchronous job has finished or the caller's context
 // expires. track/done bracket each job goroutine; track is refused
@@ -189,7 +189,7 @@ func (d *drainState) wait(ctx context.Context) error {
 
 // BeginDrain flips the service into draining mode: running work
 // continues, but new synchronous requests and job submissions fail
-// with ErrDraining, /readyz answers 503, and every open SSE stream
+// with ErrDraining, /v1/readyz answers 503, and every open SSE stream
 // receives a terminal "draining" event. Idempotent.
 func (s *Service) BeginDrain() {
 	s.drain.begin()

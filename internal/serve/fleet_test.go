@@ -748,7 +748,7 @@ func TestHTTPTenantAuth(t *testing.T) {
 		}
 	}
 	// Probes and scrapers stay keyless.
-	for _, path := range []string{"/v1/healthz", "/healthz", "/metrics", "/v1/version", "/v1/rulesets", "/v1/costmodels"} {
+	for _, path := range []string{"/v1/healthz", "/v1/readyz", "/metrics", "/v1/version", "/v1/rulesets", "/v1/costmodels"} {
 		if status, body := get(path, nil); status != http.StatusOK {
 			t.Fatalf("exempt %s: status %d (%s), want 200", path, status, body)
 		}

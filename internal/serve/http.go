@@ -183,6 +183,8 @@ type CostModelsReply struct {
 
 // StatsReply is the body answering GET /v1/stats.
 type StatsReply struct {
+	// Hits counts requests answered from the in-memory result cache;
+	// store and peer hits count under StoreHits and PeerHits.
 	Hits         uint64  `json:"hits"`
 	Misses       uint64  `json:"misses"`
 	Deduped      uint64  `json:"deduped"`
@@ -305,14 +307,12 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 //	GET    /v1/version          — build/runtime identification
 //	GET    /v1/stats            — service counters (StatsReply)
 //	GET    /v1/healthz          — liveness probe
-//	GET    /v1/readyz           — readiness probe (503 while draining;
-//	                              also at /readyz, both auth-exempt)
+//	GET    /v1/readyz           — readiness probe (503 while draining)
 //	GET    /metrics             — Prometheus text exposition
 //
-// Deprecated surface, each answering with Deprecation/Link successor
+// Deprecated surface, answering with Deprecation/Link successor
 // headers: POST /optimize (synchronous submit-and-wait, sharing the
-// result cache and singleflight with the job surface), GET /stats and
-// GET /healthz (pre-/v1 spellings of the operational endpoints).
+// result cache and singleflight with the job surface).
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /optimize", func(w http.ResponseWriter, r *http.Request) {
@@ -356,28 +356,14 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, versionReply())
 	})
-	// Operational endpoints: /v1 spellings are canonical; the bare
-	// pre-/v1 paths remain as shims carrying the same Deprecation/Link
-	// headers the /optimize shim uses.
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		handleStats(s, w)
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		handleHealthz(w)
 	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		handleReadyz(s, w)
-	})
 	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		handleReadyz(s, w)
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		deprecated(w, "/v1/stats")
-		handleStats(s, w)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		deprecated(w, "/v1/healthz")
-		handleHealthz(w)
 	})
 	// Internal fleet surface: peers fetch records they own and push cold
 	// results to their owners. Exempt from tenant (client) auth but
@@ -414,7 +400,7 @@ func tenantFrom(ctx context.Context) *tenant.Tenant {
 // cluster-secret authentication in peerPreamble instead.
 func authExempt(path string) bool {
 	switch path {
-	case "/healthz", "/v1/healthz", "/readyz", "/v1/readyz", "/metrics",
+	case "/v1/healthz", "/v1/readyz", "/metrics",
 		"/v1/version", "/v1/rulesets", "/v1/costmodels":
 		return true
 	}
@@ -561,20 +547,13 @@ func handlePeerPut(s *Service, w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, errStoreDegraded):
 			// Kept in memory only; the pusher's record is safe with them.
 		case err != nil:
-			s.stats.storeError()
+			s.metrics.storeErrors.Inc()
 			s.log.Warn("storing pushed record failed", "key", key, "error", err)
 		default:
-			s.stats.storePut()
+			s.metrics.storePuts.Inc()
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// deprecated stamps the headers a pre-/v1 path answers with: the same
-// Deprecation marker and successor Link that /optimize carries.
-func deprecated(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
 }
 
 func handleStats(s *Service, w http.ResponseWriter) {
@@ -651,11 +630,11 @@ func handleHealthz(w http.ResponseWriter) {
 	fmt.Fprintln(w, "ok")
 }
 
-// ReadyzReply is the body answering GET /readyz: readiness for a load
-// balancer, distinct from /healthz liveness. A draining node answers
-// 503 so traffic shifts away while running jobs finish; a degraded
-// store or an open breaker is reported but keeps the node ready — the
-// memory tier and local compute still answer requests.
+// ReadyzReply is the body answering GET /v1/readyz: readiness for a
+// load balancer, distinct from /v1/healthz liveness. A draining node
+// answers 503 so traffic shifts away while running jobs finish; a
+// degraded store or an open breaker is reported but keeps the node
+// ready — the memory tier and local compute still answer requests.
 type ReadyzReply struct {
 	Ready    bool `json:"ready"`
 	Draining bool `json:"draining"`
@@ -667,7 +646,7 @@ type ReadyzReply struct {
 	PeerBreakers map[string]string `json:"peer_breakers,omitempty"`
 }
 
-// handleReadyz answers GET /readyz. Auth-exempt: load balancers and
+// handleReadyz answers GET /v1/readyz. Auth-exempt: load balancers and
 // orchestrators probe it without credentials, and it leaks nothing a
 // tenant could abuse.
 func handleReadyz(s *Service, w http.ResponseWriter) {
@@ -1114,7 +1093,8 @@ func handleOptimize(s *Service, w http.ResponseWriter, r *http.Request) {
 	// The synchronous endpoint predates the /v1 job surface and is
 	// kept as a submit-and-wait shim (it still shares the result cache
 	// and singleflight). Headers point clients at the successor.
-	deprecated(w, "/v1/jobs")
+	w.Header().Set("Deprecation", "true")
+	w.Header().Set("Link", `</v1/jobs>; rel="successor-version"`)
 	req, g, ok := decodeRequest(w, r)
 	if !ok {
 		return

@@ -57,7 +57,7 @@ func postOptimize(t *testing.T, url string, req OptimizeRequest) (int, OptimizeR
 
 // TestHTTPOptimizeEndToEnd drives the full daemon surface: a cold
 // optimize, then an identical request (spelled differently) that must
-// be a cache hit, then /stats reflecting both.
+// be a cache hit, then /v1/stats reflecting both.
 func TestHTTPOptimizeEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -110,7 +110,7 @@ func TestHTTPOptimizeEndToEnd(t *testing.T) {
 		t.Fatalf("cold reply lost its own names:\n%s", cold.Graph)
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestHTTPConcurrentDistinctRequests(t *testing.T) {
 
 func s0(t *testing.T, ts *httptest.Server) StatsReply {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestHTTPBadRequests(t *testing.T) {
 
 func TestHTTPHealthz(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

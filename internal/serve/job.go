@@ -170,16 +170,19 @@ func (j *Job) ProgressSince(from int) ([]tensat.Progress, int, <-chan struct{}) 
 	return j.log.since(from)
 }
 
-// finish publishes the terminal state exactly once.
-func (j *Job) finish(resp *Response, err error) JobStatus {
-	status := JobDone
+// jobStatusOf classifies a finished job's outcome.
+func jobStatusOf(err error) JobStatus {
 	switch {
 	case err == nil:
+		return JobDone
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		status = JobCanceled
-	default:
-		status = JobFailed
+		return JobCanceled
 	}
+	return JobFailed
+}
+
+// finish publishes the terminal state exactly once.
+func (j *Job) finish(status JobStatus, resp *Response, err error) {
 	// Guarantee a terminal entry in the log: runs pumped from a flight
 	// already carry one for done/failed, but canceled followers and
 	// cache hits do not.
@@ -209,7 +212,6 @@ func (j *Job) finish(resp *Response, err error) JobStatus {
 	j.mu.Unlock()
 	close(j.done)
 	j.cancel() // release the job context's resources
-	return status
 }
 
 // finished reports the completion time (zero while running).
@@ -219,7 +221,7 @@ func (j *Job) finishedAt() time.Time {
 	return j.doneAt
 }
 
-// JobCounters snapshots the store's lifetime job counters.
+// JobCounters counts the asynchronous job lifecycle.
 type JobCounters struct {
 	Submitted uint64
 	Running   int
@@ -237,8 +239,6 @@ type jobStore struct {
 	jobs map[string]*Job
 	ttl  time.Duration
 	cap  int
-
-	submitted, done, canceled, failed uint64
 }
 
 func newJobStore(capacity int, ttl time.Duration) *jobStore {
@@ -268,7 +268,6 @@ func (st *jobStore) add(j *Job) error {
 		delete(st.jobs, oldest.id)
 	}
 	st.jobs[j.id] = j
-	st.submitted++
 	return nil
 }
 
@@ -299,20 +298,6 @@ func (st *jobStore) list() []*Job {
 	return out
 }
 
-// recordFinish bumps the terminal counters.
-func (st *jobStore) recordFinish(status JobStatus) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	switch status {
-	case JobCanceled:
-		st.canceled++
-	case JobFailed:
-		st.failed++
-	default:
-		st.done++
-	}
-}
-
 func (st *jobStore) purgeLocked(now time.Time) {
 	for id, j := range st.jobs {
 		if at := j.finishedAt(); !at.IsZero() && now.Sub(at) > st.ttl {
@@ -321,27 +306,11 @@ func (st *jobStore) purgeLocked(now time.Time) {
 	}
 }
 
-func (st *jobStore) counters() JobCounters {
+// purge drops the finished jobs whose TTL has elapsed.
+func (st *jobStore) purge() {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	// The store has no background sweeper; expiry is enforced on every
-	// touch point instead. Purging here too means a server whose only
-	// traffic is monitoring (/stats) still releases finished jobs —
-	// their result graphs and progress logs — once JobTTL elapses.
 	st.purgeLocked(time.Now())
-	running := 0
-	for _, j := range st.jobs {
-		if j.finishedAt().IsZero() {
-			running++
-		}
-	}
-	return JobCounters{
-		Submitted: st.submitted,
-		Running:   running,
-		Done:      st.done,
-		Canceled:  st.canceled,
-		Failed:    st.failed,
-	}
+	st.mu.Unlock()
 }
 
 // newJobID returns a 16-hex-char random job id.
@@ -376,7 +345,7 @@ func (s *Service) SubmitJobAs(g *tensat.Graph, ro RequestOptions, timeout time.D
 	if err != nil {
 		return nil, err
 	}
-	s.stats.profile(q.prof)
+	s.metrics.requests.With(q.prof.RuleSet, q.prof.CostModel).Inc()
 	prio, degraded, err := s.admit(tn)
 	if err != nil {
 		return nil, err
@@ -447,18 +416,13 @@ func (s *Service) Job(id string) (*Job, bool) { return s.jobs.get(id) }
 // and disappearing from this listing.
 func (s *Service) Jobs() []*Job { return s.jobs.list() }
 
-// JobCounters snapshots the job store counters.
-func (s *Service) JobCounters() JobCounters { return s.jobs.counters() }
-
-// finishJob records the terminal state in the job, the store, the
-// Prometheus job-lifecycle counters, and the structured log, and
-// releases the tenant quota slot the job has held since submission.
+// finishJob records the terminal state in the job-lifecycle counters,
+// the job, and the structured log, and releases the tenant quota slot
+// the job has held since submission. The counters move before the job
+// publishes its state, so a caller woken by Done reads counts that
+// already include it.
 func (s *Service) finishJob(job *Job, resp *Response, err error) {
-	status := job.finish(resp, err)
-	s.jobs.recordFinish(status)
-	if job.tenant != "" && s.cfg.Tenants != nil {
-		s.cfg.Tenants.Release(job.tenant, job.degraded)
-	}
+	status := jobStatusOf(err)
 	s.metrics.jobsRunning.Dec()
 	attrs := []any{
 		"job", job.id,
@@ -478,6 +442,10 @@ func (s *Service) finishJob(job *Job, resp *Response, err error) {
 			attrs = append(attrs, "cached", resp.Cached, "deduped", resp.Deduped)
 		}
 	}
+	job.finish(status, resp, err)
+	if job.tenant != "" && s.cfg.Tenants != nil {
+		s.cfg.Tenants.Release(job.tenant, job.degraded)
+	}
 	s.log.Info("job finished", attrs...)
 }
 
@@ -493,7 +461,7 @@ func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Gra
 	defer func() {
 		if r := recover(); r != nil {
 			perr := &tensat.PanicError{Value: r, Stack: debug.Stack()}
-			s.stats.panicked("job")
+			s.metrics.panics.With("job").Inc()
 			s.log.Error("panic in job runner", "job", job.id,
 				"panic", fmt.Sprint(r), "stack", string(perr.Stack))
 			select {
@@ -513,13 +481,13 @@ func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Gra
 		s.finishJob(job, &Response{Result: res, Fingerprint: q.fp, Cached: true, Tier: tier}, nil)
 		return
 	}
-	s.stats.miss()
+	s.metrics.cacheMisses.Inc()
 
 	runKey, runOpts := q.key, q.opts
 	if degraded {
 		runKey += shedKeySuffix
 		runOpts.Extractor = tensat.ExtractGreedy
-		s.stats.shed()
+		s.metrics.shed.Inc()
 		s.log.Info("load shedding job", "job", job.id, "tenant", job.tenant)
 	}
 	c, leader := s.flight.join(runKey)
@@ -527,7 +495,7 @@ func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Gra
 		c.tensors = q.names // published to followers by close(c.done)
 		go s.run(runKey, q.keyParts(), c, g, runOpts, prio, degraded)
 	} else {
-		s.stats.dedup()
+		s.metrics.cacheDedup.Inc()
 	}
 
 	idx := 0
@@ -563,7 +531,7 @@ func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Gra
 			// were the last, the flight cancels the work, the worker slot
 			// frees up, and run() never caches the partial result.
 			s.flight.leave(runKey, c)
-			s.stats.cancel()
+			s.metrics.canceled.Inc()
 			s.finishJob(job, nil, ctx.Err())
 			return
 		case <-notify:

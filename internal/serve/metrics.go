@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -9,13 +11,14 @@ import (
 	"tensat/internal/obs"
 )
 
-// metrics is the service's Prometheus-exposed instrument bundle,
-// registered on one obs.Registry that Service.Metrics exposes and
-// NewHandler serves as GET /metrics. The collector bumps the counters
-// alongside its JSON-stats counterparts (one set of call sites, two
-// exposition formats), so the two surfaces can never drift.
+// metrics is the service's one counter store: instruments registered
+// on the obs.Registry that Service.Metrics exposes and NewHandler
+// serves as GET /metrics. Service.Stats reads the same instruments
+// back for GET /v1/stats, so the two surfaces cannot drift. latency is
+// the only state kept outside the registry.
 type metrics struct {
-	reg *obs.Registry
+	reg     *obs.Registry
+	latency latencies
 
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
@@ -76,7 +79,7 @@ func newMetrics(s *Service) *metrics {
 	m := &metrics{
 		reg: r,
 
-		cacheHits:   r.Counter("tensat_cache_hits_total", "Requests answered from the result cache."),
+		cacheHits:   r.Counter("tensat_cache_hits_total", "Requests answered from the in-memory result cache (store and peer hits count separately)."),
 		cacheMisses: r.Counter("tensat_cache_misses_total", "Requests that had to consult the flight group."),
 		cacheDedup:  r.Counter("tensat_cache_dedup_total", "Requests that joined an in-flight identical run."),
 
@@ -202,4 +205,48 @@ func (m *metrics) observeRun(res *tensat.Result, opts tensat.Options) {
 	}
 	m.enodes.Set(float64(res.ENodes))
 	m.eclasses.Set(float64(res.EClasses))
+}
+
+// endWork closes one cold run that held a worker slot: it frees the
+// in-flight slot and counts the outcome. Only successful runs feed the
+// latency window and histogram.
+func (m *metrics) endWork(d time.Duration, err error) {
+	m.inFlight.Dec()
+	switch {
+	case err == nil:
+		m.completed.Inc()
+		m.runSeconds.Observe(d.Seconds())
+		m.latency.add(d)
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// A run abandoned by its waiters (or out of request budget) is
+		// client churn, not a server failure; the per-request canceled
+		// counter already recorded each abandoning caller.
+	default:
+		m.runErrors.Inc()
+	}
+}
+
+// searchWork folds one completed run's search-phase stats into the
+// service-wide counters.
+func (m *metrics) searchWork(s tensat.SearchStats) {
+	m.searchScanned.Add(uint64(s.Scanned))
+	m.searchPruned.Add(uint64(s.Pruned))
+	m.searchDirty.Add(uint64(s.Dirty))
+	m.searchClean.Add(uint64(s.Clean))
+	m.searchMatches.Add(uint64(s.Matches))
+}
+
+// ilpWork folds one completed ILP-extraction run into the service-wide
+// counters: presolve reduction, incumbents, and the solve outcome under
+// its backend label.
+func (m *metrics) ilpWork(st tensat.ILPStats, optimal bool) {
+	outcome := "feasible"
+	if optimal {
+		outcome = "optimal"
+	}
+	m.ilpPresolveFixed.Add(uint64(st.PresolveFixed))
+	m.ilpPresolveDropped.Add(uint64(st.PresolveDropped))
+	m.ilpPresolveRemoved.Add(uint64(st.PresolveRemoved))
+	m.ilpIncumbents.Add(uint64(st.Incumbents))
+	m.ilpSolves.With(st.Solver, outcome).Inc()
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"tensat"
+	"tensat/internal/cachestore"
 	"tensat/internal/models"
 )
 
@@ -621,27 +623,23 @@ func TestSSEKeepAlive(t *testing.T) {
 }
 
 // TestStatsPercentiles feeds a known latency sequence through the
-// collector and checks the P50/P95/P99 ranks and the window size.
+// latency window and checks the P50/P95/P99 ranks and the window size.
 func TestStatsPercentiles(t *testing.T) {
-	var c collector
+	var l latencies
 	for i := 1; i <= 100; i++ {
-		c.startWork()
-		c.endWork(time.Duration(i)*time.Millisecond, nil)
+		l.add(time.Duration(i) * time.Millisecond)
 	}
-	st := c.snapshot()
-	if st.LatencyWindow != latencyWindow {
-		t.Fatalf("latency window = %d, want %d", st.LatencyWindow, latencyWindow)
-	}
+	p50, p95, p99 := l.percentiles()
 	// With samples 1..100ms sorted, rank n/2 is 51ms, (n*95)/100 is
 	// 96ms, (n*99)/100 is 100ms.
-	if st.P50 != 51*time.Millisecond {
-		t.Errorf("P50 = %v, want 51ms", st.P50)
+	if p50 != 51*time.Millisecond {
+		t.Errorf("P50 = %v, want 51ms", p50)
 	}
-	if st.P95 != 96*time.Millisecond {
-		t.Errorf("P95 = %v, want 96ms", st.P95)
+	if p95 != 96*time.Millisecond {
+		t.Errorf("P95 = %v, want 96ms", p95)
 	}
-	if st.P99 != 100*time.Millisecond {
-		t.Errorf("P99 = %v, want 100ms", st.P99)
+	if p99 != 100*time.Millisecond {
+		t.Errorf("P99 = %v, want 100ms", p99)
 	}
 	// The wire shape carries both fields too.
 	s := New(Config{Workers: 1})
@@ -667,5 +665,184 @@ func TestStatsPercentiles(t *testing.T) {
 	}
 	if reply.P99MS < reply.P50MS || reply.P50MS <= 0 {
 		t.Fatalf("wire percentiles: p50=%v p99=%v", reply.P50MS, reply.P99MS)
+	}
+}
+
+// TestStatsMetricsParity: /v1/stats is read back from the /metrics
+// instruments, so after traffic that moves every counter family each
+// StatsReply counter equals its tensat_* sample.
+func TestStatsMetricsParity(t *testing.T) {
+	st, err := cachestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// One LRU slot, so a second graph pushes the first out to the store.
+	s := New(Config{Workers: 2, CacheSize: 1, Store: st})
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	ctx := context.Background()
+	optimize := func(seed int) {
+		t.Helper()
+		if _, err := s.Optimize(ctx, testGraph(t, seed), RequestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res := stubResult(t)
+	res.Search = tensat.SearchStats{Scanned: 7, Pruned: 3, Dirty: 2, Clean: 1, Matches: 4}
+	res.ILP = tensat.ILPStats{Solver: "builtin", PresolveFixed: 2, PresolveDropped: 1, Incumbents: 3}
+	res.ILPOptimal = true
+	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
+		return res, nil
+	}
+	optimize(1) // store miss, cold ILP run, store put
+	optimize(1) // memory hit
+	optimize(2) // store miss, cold run, store put; evicts graph 1
+	optimize(1) // store hit
+
+	// Dedup and cancel: a gated leader, one follower that joins it, and
+	// one that gives up.
+	gate := make(chan struct{})
+	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
+		<-gate
+		return res, nil
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Optimize(ctx, testGraph(t, 3), RequestOptions{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitFor(t, func() bool { return s.Stats().Deduped == 1 })
+	cctx, cancel := context.WithCancel(ctx)
+	canceled := make(chan error, 1)
+	go func() {
+		_, err := s.Optimize(cctx, testGraph(t, 3), RequestOptions{})
+		canceled <- err
+	}()
+	waitFor(t, func() bool { return s.Stats().Deduped == 2 })
+	cancel()
+	if err := <-canceled; err == nil {
+		t.Fatal("canceled request succeeded")
+	}
+	close(gate)
+	wg.Wait()
+
+	// A panic the optimizer recovered into an error.
+	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
+		return nil, &tensat.PanicError{Value: "boom"}
+	}
+	if _, err := s.Optimize(ctx, testGraph(t, 4), RequestOptions{}); err == nil {
+		t.Fatal("panicking optimization succeeded")
+	}
+
+	job, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, job, JobDone)
+
+	var r StatsReply
+	getJSON(t, ts.URL+"/v1/stats", &r)
+	fams := scrapeMetrics(t, ts.URL)
+	sample := func(name string) float64 {
+		t.Helper()
+		f, ok := fams[name]
+		if !ok {
+			t.Fatalf("missing family %s", name)
+		}
+		return f.samples[name]
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+	}{
+		{"tensat_cache_hits_total", float64(r.Hits)},
+		{"tensat_cache_misses_total", float64(r.Misses)},
+		{"tensat_cache_dedup_total", float64(r.Deduped)},
+		{"tensat_runs_completed_total", float64(r.Completed)},
+		{"tensat_run_errors_total", float64(r.Errors)},
+		{"tensat_requests_canceled_total", float64(r.Canceled)},
+		{"tensat_optimizations_inflight", float64(r.InFlight)},
+		{"tensat_cache_entries", float64(r.CacheEntries)},
+		{"tensat_cache_bytes", float64(r.CacheBytes)},
+		{"tensat_queue_waiting", float64(r.QueueWaiting)},
+		{"tensat_workers", float64(r.Workers)},
+		{"tensat_jobs_submitted_total", float64(r.JobsSubmitted)},
+		{"tensat_jobs_running", float64(r.JobsRunning)},
+		{"tensat_jobs_done_total", float64(r.JobsDone)},
+		{"tensat_jobs_canceled_total", float64(r.JobsCanceled)},
+		{"tensat_jobs_failed_total", float64(r.JobsFailed)},
+		{"tensat_search_classes_scanned_total", float64(r.SearchClassesScanned)},
+		{"tensat_search_classes_pruned_total", float64(r.SearchClassesPruned)},
+		{"tensat_search_dirty_researched_total", float64(r.SearchDirtySearched)},
+		{"tensat_search_clean_reused_total", float64(r.SearchCleanReused)},
+		{"tensat_search_matches_total", float64(r.SearchMatches)},
+		{"tensat_ilp_presolve_fixed_total", float64(r.ILPPresolveFixed)},
+		{"tensat_ilp_presolve_dropped_total", float64(r.ILPPresolveDropped)},
+		{"tensat_ilp_presolve_constraints_removed_total", float64(r.ILPPresolveRemoved)},
+		{"tensat_ilp_incumbents_total", float64(r.ILPIncumbents)},
+		{"tensat_store_hits_total", float64(r.StoreHits)},
+		{"tensat_store_misses_total", float64(r.StoreMisses)},
+		{"tensat_store_errors_total", float64(r.StoreErrors)},
+		{"tensat_store_puts_total", float64(r.StorePuts)},
+		{"tensat_store_entries", float64(r.StoreEntries)},
+		{"tensat_store_bytes", float64(r.StoreBytes)},
+		{"tensat_peer_hits_total", float64(r.PeerHits)},
+		{"tensat_peer_misses_total", float64(r.PeerMisses)},
+		{"tensat_peer_errors_total", float64(r.PeerErrors)},
+		{"tensat_peer_puts_total", float64(r.PeerPuts)},
+		{"tensat_peer_retries_total", float64(r.PeerRetries)},
+		{"tensat_peer_push_dropped_total", float64(r.PeerPushDropped)},
+		{"tensat_shed_total", float64(r.ShedTotal)},
+	} {
+		if want := sample(c.name); c.got != want {
+			t.Errorf("/v1/stats has %v for %s, /metrics has %v", c.got, c.name, want)
+		}
+	}
+	// Labeled families, keyed as /v1/stats keys them: label values
+	// joined with "/".
+	byLabels := func(name string) map[string]uint64 {
+		var out map[string]uint64
+		for key, v := range fams[name].samples {
+			var vals []string
+			for _, m := range labelPairRe.FindAllStringSubmatch(key, -1) {
+				vals = append(vals, m[2])
+			}
+			if out == nil {
+				out = map[string]uint64{}
+			}
+			out[strings.Join(vals, "/")] = uint64(v)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		got  map[string]uint64
+	}{
+		{"tensat_requests_total", r.Profiles},
+		{"tensat_ilp_solves_total", r.ILPSolves},
+		{"tensat_panics_total", r.Panics},
+		{"tensat_tenant_requests_total", r.TenantRequests},
+		{"tensat_tenant_rejected_total", r.TenantRejected},
+	} {
+		if want := byLabels(c.name); !reflect.DeepEqual(c.got, want) {
+			t.Errorf("/v1/stats has %v for %s, /metrics has %v", c.got, c.name, want)
+		}
+	}
+
+	// The traffic above must have moved what it claims to, or the
+	// equalities prove nothing.
+	if r.Hits < 1 || r.StoreHits < 1 || r.StoreMisses < 1 || r.StorePuts < 1 ||
+		r.Deduped != 2 || r.Canceled != 1 || r.JobsDone != 1 || r.SearchMatches == 0 {
+		t.Errorf("traffic missed a counter: %+v", r)
+	}
+	if r.Panics["optimizer"] != 1 || r.ILPSolves["builtin/optimal"] == 0 {
+		t.Errorf("panics %v, ilp_solves %v", r.Panics, r.ILPSolves)
 	}
 }

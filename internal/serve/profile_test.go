@@ -344,40 +344,31 @@ func TestJobListing(t *testing.T) {
 	}
 }
 
-// TestOperationalPathShims: /v1/stats and /v1/healthz are canonical;
-// the bare spellings still answer but carry the same Deprecation/Link
-// headers the /optimize shim uses.
+// TestOperationalPathShims: the operational endpoints answer only
+// under /v1, with no Deprecation header; the bare pre-/v1 spellings
+// are gone.
 func TestOperationalPathShims(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, c := range []struct{ path, successor string }{
-		{"/stats", "/v1/stats"},
-		{"/healthz", "/v1/healthz"},
-	} {
-		resp, err := http.Get(ts.URL + c.path)
+	for _, path := range []string{"/stats", "/healthz", "/readyz"} {
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", c.path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("GET %s: missing Deprecation header", c.path)
-		}
-		if want := "<" + c.successor + `>; rel="successor-version"`; resp.Header.Get("Link") != want {
-			t.Errorf("GET %s: Link = %q, want %q", c.path, resp.Header.Get("Link"), want)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
 
-		resp, err = http.Get(ts.URL + c.successor)
+		resp, err = http.Get(ts.URL + "/v1" + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", c.successor, resp.StatusCode)
+			t.Errorf("GET /v1%s: status %d", path, resp.StatusCode)
 		}
 		if resp.Header.Get("Deprecation") != "" {
-			t.Errorf("GET %s: canonical path carries a Deprecation header", c.successor)
+			t.Errorf("GET /v1%s: canonical path carries a Deprecation header", path)
 		}
 	}
 	var st StatsReply

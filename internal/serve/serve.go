@@ -108,7 +108,6 @@ type Service struct {
 	cache   *lruCache
 	flight  *flightGroup
 	jobs    *jobStore
-	stats   collector
 	metrics *metrics
 	log     *slog.Logger
 
@@ -187,7 +186,6 @@ func New(cfg Config) *Service {
 		})
 	}
 	s.metrics = newMetrics(s)
-	s.stats.m = s.metrics
 	if cl := cfg.Cluster; cl != nil {
 		// Pre-touch every peer's breaker gauge so dashboards see the
 		// closed (0) state before the first transition.
@@ -204,14 +202,14 @@ func New(cfg Config) *Service {
 			},
 			PushDone: func(err error) {
 				if err != nil {
-					s.stats.peerError()
+					s.metrics.peerErrors.Inc()
 					s.log.Warn("peer push failed", "error", err)
 				} else {
-					s.stats.peerPut()
+					s.metrics.peerPuts.Inc()
 				}
 			},
 			FetchRetry: func(peer string) {
-				s.stats.peerRetry()
+				s.metrics.peerRetries.Inc()
 			},
 		})
 	}
@@ -589,7 +587,7 @@ func (s *Service) admit(tn *tenant.Tenant) (prio int, degraded bool, err error) 
 	if tn == nil || s.cfg.Tenants == nil {
 		return 0, false, nil
 	}
-	s.stats.tenantRequest(tn.Name)
+	s.metrics.tenantRequests.With(tn.Name).Inc()
 	d, retry := s.cfg.Tenants.Acquire(tn.Name)
 	switch d {
 	case tenant.Admit:
@@ -599,12 +597,12 @@ func (s *Service) admit(tn *tenant.Tenant) (prio int, degraded bool, err error) 
 			// High-priority work is never silently weakened; surface the
 			// saturation instead.
 			s.cfg.Tenants.Release(tn.Name, true)
-			s.stats.tenantReject(tn.Name)
+			s.metrics.tenantRejected.With(tn.Name).Inc()
 			return 0, false, &RateLimitError{Tenant: tn.Name, RetryAfter: time.Second}
 		}
 		return tn.Priority, true, nil
 	default:
-		s.stats.tenantReject(tn.Name)
+		s.metrics.tenantRejected.With(tn.Name).Inc()
 		return 0, false, &RateLimitError{Tenant: tn.Name, RetryAfter: retry}
 	}
 }
@@ -615,7 +613,7 @@ func (s *Service) admit(tn *tenant.Tenant) (prio int, degraded bool, err error) 
 // Store and peer failures are misses, never request errors.
 func (s *Service) lookup(ctx context.Context, key string) (*cachedResult, string, bool) {
 	if entry, ok := s.cache.get(key); ok {
-		s.stats.hit()
+		s.metrics.cacheHits.Inc()
 		return entry, TierMemory, true
 	}
 	if st := s.store; st != nil {
@@ -626,7 +624,7 @@ func (s *Service) lookup(ctx context.Context, key string) (*cachedResult, string
 			// probe: a quiet miss, not an error — the gauge and the mode
 			// transition log already tell the story once.
 		case err != nil:
-			s.stats.storeError()
+			s.metrics.storeErrors.Inc()
 			s.log.Warn("result store read failed", "key", key, "error", err)
 		case ok:
 			res, tensors, parts, derr := cachestore.Decode(payload)
@@ -634,21 +632,21 @@ func (s *Service) lookup(ctx context.Context, key string) (*cachedResult, string
 			case derr != nil:
 				// A stale-schema or corrupt record is a miss — the run
 				// recomputes and overwrites it — never a request failure.
-				s.stats.storeError()
+				s.metrics.storeErrors.Inc()
 				s.log.Warn("result store record unreadable", "key", key, "error", derr)
 			case keyFromParts(parts) != key:
 				// A record whose embedded identity doesn't derive its key
 				// answers some other request; treat it as corrupt.
-				s.stats.storeError()
+				s.metrics.storeErrors.Inc()
 				s.log.Warn("result store record key mismatch", "key", key)
 			default:
 				entry := &cachedResult{res: res, tensors: tensors, parts: parts}
 				s.cache.add(key, entry, int64(len(payload)))
-				s.stats.storeHit()
+				s.metrics.storeHits.Inc()
 				return entry, TierDisk, true
 			}
 		default:
-			s.stats.storeMiss()
+			s.metrics.storeMisses.Inc()
 		}
 	}
 	if cl := s.cfg.Cluster; cl != nil {
@@ -660,15 +658,15 @@ func (s *Service) lookup(ctx context.Context, key string) (*cachedResult, string
 				if derr == nil && keyFromParts(parts) == key {
 					entry := &cachedResult{res: res, tensors: tensors, parts: parts}
 					s.cache.add(key, entry, int64(len(payload)))
-					s.stats.peerHit()
+					s.metrics.peerHits.Inc()
 					return entry, TierPeer, true
 				}
 				// Unreadable or mis-keyed peer records (version skew, a
 				// misconfigured ring) are peer faults, never hits.
-				s.stats.peerError()
+				s.metrics.peerErrors.Inc()
 				s.log.Warn("peer record unreadable or mis-keyed", "key", key, "peer", owner, "error", derr)
 			case errors.Is(err, cluster.ErrNotFound):
-				s.stats.peerMiss()
+				s.metrics.peerMisses.Inc()
 			case errors.Is(err, cluster.ErrPeerDown):
 				// Every candidate owner's breaker is open: the client
 				// degraded to local compute without a network round trip.
@@ -678,7 +676,7 @@ func (s *Service) lookup(ctx context.Context, key string) (*cachedResult, string
 			case errors.Is(err, context.Canceled):
 				// The requester went away; not a peer fault.
 			default:
-				s.stats.peerError()
+				s.metrics.peerErrors.Inc()
 				s.log.Warn("peer fetch failed", "key", key, "peer", owner, "error", err)
 			}
 		}
@@ -712,10 +710,10 @@ func (s *Service) cacheResult(key string, entry *cachedResult) {
 			// still lives in memory and the next probe may recover the
 			// store; a recomputation after restart is the accepted cost.
 		case err != nil:
-			s.stats.storeError()
+			s.metrics.storeErrors.Inc()
 			s.log.Warn("result store write failed", "key", key, "error", err)
 		default:
-			s.stats.storePut()
+			s.metrics.storePuts.Inc()
 		}
 	}
 	if cl := s.cfg.Cluster; cl != nil {
@@ -726,7 +724,7 @@ func (s *Service) cacheResult(key string, entry *cachedResult) {
 			// stays cold for this key — rather than accumulating
 			// goroutines during a peer outage.
 			if !cl.EnqueuePush(key, payload) {
-				s.stats.peerPushDrop()
+				s.metrics.peerPushDropped.Inc()
 				s.log.Warn("peer push dropped — queue full or closed", "key", key)
 			}
 		}
@@ -756,7 +754,7 @@ func (s *Service) OptimizeAs(ctx context.Context, g *tensat.Graph, ro RequestOpt
 	if err != nil {
 		return nil, err
 	}
-	s.stats.profile(q.prof)
+	s.metrics.requests.With(q.prof.RuleSet, q.prof.CostModel).Inc()
 	prio, degraded, err := s.admit(tn)
 	if err != nil {
 		return nil, err
@@ -774,13 +772,13 @@ func (s *Service) OptimizeAs(ctx context.Context, g *tensat.Graph, ro RequestOpt
 		}
 		return &Response{Result: res, Fingerprint: q.fp, Cached: true, Tier: tier}, nil
 	}
-	s.stats.miss()
+	s.metrics.cacheMisses.Inc()
 
 	runKey, runOpts := q.key, q.opts
 	if degraded {
 		runKey += shedKeySuffix
 		runOpts.Extractor = tensat.ExtractGreedy
-		s.stats.shed()
+		s.metrics.shed.Inc()
 		s.log.Info("load shedding request", "tenant", tn.Name, "fingerprint", q.fp)
 	}
 	c, leader := s.flight.join(runKey)
@@ -788,7 +786,7 @@ func (s *Service) OptimizeAs(ctx context.Context, g *tensat.Graph, ro RequestOpt
 		c.tensors = q.names // published to followers by close(c.done)
 		go s.run(runKey, q.keyParts(), c, g, runOpts, prio, degraded)
 	} else {
-		s.stats.dedup()
+		s.metrics.cacheDedup.Inc()
 	}
 	select {
 	case <-c.done:
@@ -804,7 +802,7 @@ func (s *Service) OptimizeAs(ctx context.Context, g *tensat.Graph, ro RequestOpt
 		return &Response{Result: res, Fingerprint: q.fp, Deduped: !leader, Degraded: degraded}, nil
 	case <-ctx.Done():
 		s.flight.leave(runKey, c)
-		s.stats.cancel()
+		s.metrics.canceled.Inc()
 		return nil, ctx.Err()
 	}
 }
@@ -822,7 +820,7 @@ func (s *Service) run(key string, parts cachestore.KeyParts, c *flightCall, g *t
 	defer func() {
 		if r := recover(); r != nil && !finished {
 			perr := &tensat.PanicError{Value: r, Stack: debug.Stack()}
-			s.stats.panicked("worker")
+			s.metrics.panics.With("worker").Inc()
 			s.log.Error("panic in optimization worker", "key", key,
 				"panic", fmt.Sprint(r), "stack", string(perr.Stack))
 			s.flight.finish(key, c, nil, perr)
@@ -846,23 +844,23 @@ func (s *Service) run(key string, parts cachestore.KeyParts, c *flightCall, g *t
 	}
 	defer s.queue.release()
 
-	s.stats.startWork()
+	s.metrics.inFlight.Inc()
 	start := time.Now()
 	res, err := s.optimize(c.ctx, g, opts)
-	s.stats.endWork(time.Since(start), err)
+	s.metrics.endWork(time.Since(start), err)
 	var perr *tensat.PanicError
 	if errors.As(err, &perr) {
 		// The pipeline panicked inside the optimizer; Submit's recover
 		// converted it to an error, so the flight finishes normally and
 		// every waiter gets internal_error instead of a dead daemon.
-		s.stats.panicked("optimizer")
+		s.metrics.panics.With("optimizer").Inc()
 		s.log.Error("optimization pipeline panicked", "key", key,
 			"panic", fmt.Sprint(perr.Value), "stack", string(perr.Stack))
 	}
 	if err == nil && res != nil {
-		s.stats.searchWork(res.Search)
+		s.metrics.searchWork(res.Search)
 		if res.ILP.Solver != "" {
-			s.stats.ilpWork(res.ILP, res.ILPOptimal)
+			s.metrics.ilpWork(res.ILP, res.ILPOptimal)
 		}
 		s.metrics.observeRun(res, opts)
 	}
@@ -880,24 +878,6 @@ func (s *Service) run(key string, parts cachestore.KeyParts, c *flightCall, g *t
 	}
 	finished = true
 	s.flight.finish(key, c, res, err)
-}
-
-// Stats snapshots the service counters.
-func (s *Service) Stats() Stats {
-	st := s.stats.snapshot()
-	st.CacheEntries = s.cache.len()
-	st.CacheBytes = s.cache.bytesUsed()
-	st.QueueWaiting = s.queue.waiting()
-	if s.cfg.Store != nil {
-		st.StoreEntries = s.cfg.Store.Len()
-		st.StoreBytes = s.cfg.Store.Bytes()
-	}
-	if s.store != nil {
-		st.StoreDegraded = s.store.isDegraded()
-	}
-	st.Draining = s.drain.active()
-	st.Jobs = s.jobs.counters()
-	return st
 }
 
 // Workers reports the configured worker-pool bound.

@@ -1,20 +1,20 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"sort"
 	"sync"
 	"time"
-
-	"tensat"
 )
 
-// Stats is a point-in-time snapshot of service counters.
+// Stats is a snapshot of service counters, read back from the
+// instruments GET /metrics exposes. Like a scrape, each field is read
+// on its own, so a snapshot taken while requests run may mix counts
+// from either side of one request.
 type Stats struct {
-	// Hits counts requests answered from the result cache; Misses
-	// counts requests that had to consult the flight group (of which
-	// Deduped joined an already-running identical optimization).
+	// Hits counts requests answered from the in-memory result cache
+	// (store and peer hits count under Store.Hits and Peer.Hits);
+	// Misses counts requests that had to consult the flight group (of
+	// which Deduped joined an already-running identical optimization).
 	Hits, Misses, Deduped uint64
 	// Completed and Errors count finished optimization runs; Canceled
 	// counts requests abandoned by their callers.
@@ -119,376 +119,105 @@ type ILPCounters struct {
 // latencyWindow is how many recent cold latencies feed the percentiles.
 const latencyWindow = 512
 
-// collector accumulates counters and a sliding latency window. When m
-// is set (every Service sets it at construction), each bump also feeds
-// the equivalent Prometheus instrument, so the JSON stats and the
-// /metrics exposition share one set of call sites and cannot drift.
-type collector struct {
-	m *metrics
-
-	mu              sync.Mutex
-	hits            uint64
-	misses          uint64
-	deduped         uint64
-	completed       uint64
-	errors          uint64
-	canceled        uint64
-	inFlight        int
-	profiles        map[string]uint64
-	search          SearchCounters
-	ilp             ILPCounters
-	store           TierCounters
-	peer            TierCounters
-	peerRetries     uint64
-	peerPushDropped uint64
-	panics          map[string]uint64
-	shedTotal       uint64
-	tenantReq       map[string]uint64
-	tenantRej       map[string]uint64
-	ring            [latencyWindow]time.Duration
-	ringN           int // total latencies ever recorded
+// latencies holds the most recent cold-run latencies. The percentiles
+// are exact ranks over this window, which histogram buckets cannot
+// reproduce.
+type latencies struct {
+	mu   sync.Mutex
+	ring [latencyWindow]time.Duration
+	n    int // total latencies ever recorded
 }
 
-func (c *collector) hit() {
-	c.mu.Lock()
-	c.hits++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.cacheHits.Inc()
-	}
+func (l *latencies) add(d time.Duration) {
+	l.mu.Lock()
+	l.ring[l.n%latencyWindow] = d
+	l.n++
+	l.mu.Unlock()
 }
 
-func (c *collector) miss() {
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.cacheMisses.Inc()
+// percentiles returns the p50, p95 and p99 latencies over the window;
+// all zero before the first run completes.
+func (l *latencies) percentiles() (p50, p95, p99 time.Duration) {
+	l.mu.Lock()
+	window := append([]time.Duration(nil), l.ring[:min(l.n, latencyWindow)]...)
+	l.mu.Unlock()
+	n := len(window)
+	if n == 0 {
+		return 0, 0, 0
 	}
+	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
+	return window[n/2], window[(n*95)/100], window[(n*99)/100]
 }
 
-func (c *collector) dedup() {
-	c.mu.Lock()
-	c.deduped++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.cacheDedup.Inc()
+// Stats snapshots the service counters.
+func (s *Service) Stats() Stats {
+	// The job store has no background sweeper; expiry is enforced on
+	// every touch point instead. Purging here too means a server whose
+	// only traffic is monitoring (/v1/stats) still releases finished
+	// jobs (their result graphs and progress logs) once JobTTL elapses.
+	s.jobs.purge()
+	m := s.metrics
+	st := Stats{
+		Hits:         m.cacheHits.Value(),
+		Misses:       m.cacheMisses.Value(),
+		Deduped:      m.cacheDedup.Value(),
+		Completed:    m.completed.Value(),
+		Errors:       m.runErrors.Value(),
+		Canceled:     m.canceled.Value(),
+		InFlight:     int(m.inFlight.Value()),
+		CacheEntries: s.cache.len(),
+		CacheBytes:   s.cache.bytesUsed(),
+		QueueWaiting: s.queue.waiting(),
+		Store: TierCounters{
+			Hits:   m.storeHits.Value(),
+			Misses: m.storeMisses.Value(),
+			Errors: m.storeErrors.Value(),
+			Puts:   m.storePuts.Value(),
+		},
+		Peer: TierCounters{
+			Hits:   m.peerHits.Value(),
+			Misses: m.peerMisses.Value(),
+			Errors: m.peerErrors.Value(),
+			Puts:   m.peerPuts.Value(),
+		},
+		PeerRetries:     m.peerRetries.Value(),
+		PeerPushDropped: m.peerPushDropped.Value(),
+		Shed:            m.shed.Value(),
+		TenantRequests:  m.tenantRequests.Values(),
+		TenantRejected:  m.tenantRejected.Values(),
+		Panics:          m.panics.Values(),
+		Draining:        s.drain.active(),
+		Profiles:        m.requests.Values(),
+		Search: SearchCounters{
+			ClassesScanned: m.searchScanned.Value(),
+			ClassesPruned:  m.searchPruned.Value(),
+			DirtySearched:  m.searchDirty.Value(),
+			CleanReused:    m.searchClean.Value(),
+			Matches:        m.searchMatches.Value(),
+		},
+		ILP: ILPCounters{
+			PresolveFixed:   m.ilpPresolveFixed.Value(),
+			PresolveDropped: m.ilpPresolveDropped.Value(),
+			PresolveRemoved: m.ilpPresolveRemoved.Value(),
+			Incumbents:      m.ilpIncumbents.Value(),
+			Solves:          m.ilpSolves.Values(),
+		},
+		Jobs: JobCounters{
+			Submitted: m.jobsSubmitted.Value(),
+			Running:   int(m.jobsRunning.Value()),
+			Done:      m.jobsDone.Value(),
+			Canceled:  m.jobsCanceled.Value(),
+			Failed:    m.jobsFailed.Value(),
+		},
+		LatencyWindow: latencyWindow,
 	}
-}
-
-func (c *collector) storeHit() {
-	c.mu.Lock()
-	c.store.Hits++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.storeHits.Inc()
+	if s.cfg.Store != nil {
+		st.StoreEntries = s.cfg.Store.Len()
+		st.StoreBytes = s.cfg.Store.Bytes()
 	}
-}
-
-func (c *collector) storeMiss() {
-	c.mu.Lock()
-	c.store.Misses++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.storeMisses.Inc()
+	if s.store != nil {
+		st.StoreDegraded = s.store.isDegraded()
 	}
-}
-
-func (c *collector) storeError() {
-	c.mu.Lock()
-	c.store.Errors++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.storeErrors.Inc()
-	}
-}
-
-func (c *collector) storePut() {
-	c.mu.Lock()
-	c.store.Puts++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.storePuts.Inc()
-	}
-}
-
-func (c *collector) peerHit() {
-	c.mu.Lock()
-	c.peer.Hits++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerHits.Inc()
-	}
-}
-
-func (c *collector) peerMiss() {
-	c.mu.Lock()
-	c.peer.Misses++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerMisses.Inc()
-	}
-}
-
-func (c *collector) peerError() {
-	c.mu.Lock()
-	c.peer.Errors++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerErrors.Inc()
-	}
-}
-
-func (c *collector) peerPut() {
-	c.mu.Lock()
-	c.peer.Puts++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerPuts.Inc()
-	}
-}
-
-// peerRetry counts one fetch retry attempt against a peer.
-func (c *collector) peerRetry() {
-	c.mu.Lock()
-	c.peerRetries++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerRetries.Inc()
-	}
-}
-
-// peerPushDrop counts one async push dropped on a full queue.
-func (c *collector) peerPushDrop() {
-	c.mu.Lock()
-	c.peerPushDropped++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerPushDropped.Inc()
-	}
-}
-
-// panicked counts one recovered panic at the named site. Every call
-// means a request failed with internal_error but the daemon survived.
-func (c *collector) panicked(site string) {
-	c.mu.Lock()
-	if c.panics == nil {
-		c.panics = make(map[string]uint64)
-	}
-	c.panics[site]++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.panics.With(site).Inc()
-	}
-}
-
-// shed counts one request degraded to greedy-only extraction under
-// quota pressure (the per-tenant detail lives in the logs).
-func (c *collector) shed() {
-	c.mu.Lock()
-	c.shedTotal++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.shed.Inc()
-	}
-}
-
-func (c *collector) tenantRequest(name string) {
-	c.mu.Lock()
-	if c.tenantReq == nil {
-		c.tenantReq = make(map[string]uint64)
-	}
-	c.tenantReq[name]++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.tenantRequests.With(name).Inc()
-	}
-}
-
-func (c *collector) tenantReject(name string) {
-	c.mu.Lock()
-	if c.tenantRej == nil {
-		c.tenantRej = make(map[string]uint64)
-	}
-	c.tenantRej[name]++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.tenantRejected.With(name).Inc()
-	}
-}
-
-func (c *collector) cancel() {
-	c.mu.Lock()
-	c.canceled++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.canceled.Inc()
-	}
-}
-
-func (c *collector) startWork() {
-	c.mu.Lock()
-	c.inFlight++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.inFlight.Inc()
-	}
-}
-
-// profile counts one request against its resolved profile.
-func (c *collector) profile(p profile) {
-	c.mu.Lock()
-	if c.profiles == nil {
-		c.profiles = make(map[string]uint64)
-	}
-	c.profiles[p.label()]++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.requests.With(p.RuleSet, p.CostModel).Inc()
-	}
-}
-
-// searchWork folds one completed run's search-phase stats into the
-// service-wide counters.
-func (c *collector) searchWork(s tensat.SearchStats) {
-	c.mu.Lock()
-	c.search.ClassesScanned += uint64(s.Scanned)
-	c.search.ClassesPruned += uint64(s.Pruned)
-	c.search.DirtySearched += uint64(s.Dirty)
-	c.search.CleanReused += uint64(s.Clean)
-	c.search.Matches += uint64(s.Matches)
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.searchScanned.Add(uint64(s.Scanned))
-		c.m.searchPruned.Add(uint64(s.Pruned))
-		c.m.searchDirty.Add(uint64(s.Dirty))
-		c.m.searchClean.Add(uint64(s.Clean))
-		c.m.searchMatches.Add(uint64(s.Matches))
-	}
-}
-
-// ilpWork folds one completed ILP-extraction run into the service-wide
-// counters: presolve reduction, incumbents, and the solve outcome under
-// its backend label. Like searchWork, it is the single call site behind
-// both the JSON stats and the tensat_ilp_* Prometheus families.
-func (c *collector) ilpWork(st tensat.ILPStats, optimal bool) {
-	outcome := "feasible"
-	if optimal {
-		outcome = "optimal"
-	}
-	c.mu.Lock()
-	c.ilp.PresolveFixed += uint64(st.PresolveFixed)
-	c.ilp.PresolveDropped += uint64(st.PresolveDropped)
-	c.ilp.PresolveRemoved += uint64(st.PresolveRemoved)
-	c.ilp.Incumbents += uint64(st.Incumbents)
-	if c.ilp.Solves == nil {
-		c.ilp.Solves = make(map[string]uint64)
-	}
-	c.ilp.Solves[st.Solver+"/"+outcome]++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.ilpPresolveFixed.Add(uint64(st.PresolveFixed))
-		c.m.ilpPresolveDropped.Add(uint64(st.PresolveDropped))
-		c.m.ilpPresolveRemoved.Add(uint64(st.PresolveRemoved))
-		c.m.ilpIncumbents.Add(uint64(st.Incumbents))
-		c.m.ilpSolves.With(st.Solver, outcome).Inc()
-	}
-}
-
-func (c *collector) endWork(d time.Duration, err error) {
-	c.mu.Lock()
-	c.inFlight--
-	completed := false
-	switch {
-	case err == nil:
-		c.completed++
-		completed = true
-		c.ring[c.ringN%latencyWindow] = d
-		c.ringN++
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// A run abandoned by its waiters (or out of request budget) is
-		// client churn, not a server failure; the per-request Canceled
-		// counter already recorded each abandoning caller.
-	default:
-		c.errors++
-	}
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.inFlight.Dec()
-		switch {
-		case completed:
-			c.m.completed.Inc()
-			c.m.runSeconds.Observe(d.Seconds())
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		default:
-			c.m.runErrors.Inc()
-		}
-	}
-}
-
-// snapshot computes the current Stats (percentiles over the window).
-func (c *collector) snapshot() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Deduped:   c.deduped,
-		Completed: c.completed,
-		Errors:    c.errors,
-		Canceled:  c.canceled,
-		InFlight:  c.inFlight,
-		Search:    c.search,
-		ILP:       c.ilp,
-		Store:     c.store,
-		Peer:      c.peer,
-		Shed:      c.shedTotal,
-
-		PeerRetries:     c.peerRetries,
-		PeerPushDropped: c.peerPushDropped,
-	}
-	if len(c.panics) > 0 {
-		s.Panics = make(map[string]uint64, len(c.panics))
-		for k, v := range c.panics {
-			s.Panics[k] = v
-		}
-	}
-	if len(c.tenantReq) > 0 {
-		s.TenantRequests = make(map[string]uint64, len(c.tenantReq))
-		for k, v := range c.tenantReq {
-			s.TenantRequests[k] = v
-		}
-	}
-	if len(c.tenantRej) > 0 {
-		s.TenantRejected = make(map[string]uint64, len(c.tenantRej))
-		for k, v := range c.tenantRej {
-			s.TenantRejected[k] = v
-		}
-	}
-	if len(c.ilp.Solves) > 0 {
-		s.ILP.Solves = make(map[string]uint64, len(c.ilp.Solves))
-		for k, v := range c.ilp.Solves {
-			s.ILP.Solves[k] = v
-		}
-	}
-	if len(c.profiles) > 0 {
-		s.Profiles = make(map[string]uint64, len(c.profiles))
-		for k, v := range c.profiles {
-			s.Profiles[k] = v
-		}
-	}
-	s.LatencyWindow = latencyWindow
-	n := c.ringN
-	if n > latencyWindow {
-		n = latencyWindow
-	}
-	if n > 0 {
-		window := make([]time.Duration, n)
-		copy(window, c.ring[:n])
-		sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-		s.P50 = window[n/2]
-		s.P95 = window[(n*95)/100]
-		s.P99 = window[(n*99)/100]
-	}
-	return s
+	st.P50, st.P95, st.P99 = m.latency.percentiles()
+	return st
 }

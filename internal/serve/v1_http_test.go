@@ -113,7 +113,7 @@ func distinctProgress(snaps []ProgressReply) int {
 // a gated optimization, so every observation is deterministic: submit
 // (202), polling sees two distinct progress snapshots, SSE replays
 // them, the result endpoint answers 409 until done and 200 after, and
-// /stats reflects the job counters.
+// /v1/stats reflects the job counters.
 func TestV1JobLifecycleHTTP(t *testing.T) {
 	s := New(Config{Workers: 2})
 	step := make(chan struct{})
@@ -223,7 +223,7 @@ func TestV1JobLifecycleHTTP(t *testing.T) {
 	}
 
 	var st StatsReply
-	r2, err := http.Get(ts.URL + "/stats")
+	r2, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,8 +79,8 @@
 //	GET    /v1/version          — build/runtime identification
 //	GET    /v1/stats            — cache, latency, job and profile counters
 //	GET    /v1/healthz          — liveness
+//	GET    /v1/readyz           — readiness (503 while draining)
 //	POST   /optimize            — deprecated synchronous shim
-//	GET    /stats, /healthz     — deprecated pre-/v1 spellings
 //
 // Graphs travel in the textual wire format of Graph.MarshalText
 // (S-expressions with let-bindings for shared subgraphs; see
