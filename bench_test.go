@@ -93,6 +93,11 @@ var ilpBench = struct {
 	// agree exactly.
 	SeqCost float64 `json:"seq_cost"`
 	ParCost float64 `json:"par_cost"`
+	// SeqAllocsPerOp and ParAllocsPerOp are heap allocations per solve
+	// (problem construction included). The search loops allocate
+	// nothing, so they track setup, not the size of the proof.
+	SeqAllocsPerOp float64 `json:"seq_allocs_per_op"`
+	ParAllocsPerOp float64 `json:"par_allocs_per_op"`
 	// GapAtBudgetPercent is (incumbent-optimal)/optimal at an
 	// artificially tight budget on a deceptive sharing instance.
 	GapAtBudgetPercent float64 `json:"gap_at_budget_percent"`
@@ -287,11 +292,15 @@ const ilpBenchRing = 17
 
 // ilpSolveBench measures the anytime profile of one solver
 // configuration on the proof-hard instance: median time to the first
-// incumbent and median time to the optimality proof.
-func ilpSolveBench(b *testing.B, workers int) (firstMS, optimalMS, cost float64) {
+// incumbent, median time to the optimality proof, and heap
+// allocations per solve.
+func ilpSolveBench(b *testing.B, workers int) (firstMS, optimalMS, cost, allocsPerOp float64) {
 	b.Helper()
+	b.ReportAllocs()
 	firsts := make([]float64, 0, b.N)
 	optimals := make([]float64, 0, b.N)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := ilpEscapeRing(ilpBenchRing)
@@ -313,6 +322,8 @@ func ilpSolveBench(b *testing.B, workers int) (firstMS, optimalMS, cost float64)
 		optimals = append(optimals, float64(sol.Time.Nanoseconds())/1e6)
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	allocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(b.N)
 	median := func(xs []float64) float64 {
 		sort.Float64s(xs)
 		return xs[len(xs)/2]
@@ -320,19 +331,19 @@ func ilpSolveBench(b *testing.B, workers int) (firstMS, optimalMS, cost float64)
 	firstMS, optimalMS = median(firsts), median(optimals)
 	b.ReportMetric(firstMS, "first-incumbent-ms")
 	b.ReportMetric(optimalMS, "time-to-optimal-ms")
-	return firstMS, optimalMS, cost
+	return firstMS, optimalMS, cost, allocsPerOp
 }
 
 // BenchmarkILPSequential measures the single-threaded branch-and-bound
 // on the proof-hard instance.
 func BenchmarkILPSequential(b *testing.B) {
-	ilpBench.SeqFirstIncumbentMS, ilpBench.SeqOptimalMS, ilpBench.SeqCost = ilpSolveBench(b, 1)
+	ilpBench.SeqFirstIncumbentMS, ilpBench.SeqOptimalMS, ilpBench.SeqCost, ilpBench.SeqAllocsPerOp = ilpSolveBench(b, 1)
 }
 
 // BenchmarkILPParallel measures the same proof fanned over the worker
 // pool with a shared incumbent bound.
 func BenchmarkILPParallel(b *testing.B) {
-	ilpBench.ParFirstIncumbentMS, ilpBench.ParOptimalMS, ilpBench.ParCost = ilpSolveBench(b, ilpBenchWorkers)
+	ilpBench.ParFirstIncumbentMS, ilpBench.ParOptimalMS, ilpBench.ParCost, ilpBench.ParAllocsPerOp = ilpSolveBench(b, ilpBenchWorkers)
 }
 
 // ilpDualHub builds the anytime-trajectory instance: the root needs

@@ -79,7 +79,10 @@ type Problem struct {
 	// (Optimal=false, Stalled=true) — the practical analogue of a MIP
 	// gap tolerance. Zero means no stall limit. Exhaustive search on
 	// heavily merged e-graphs needs LP-strength bounds (what SCIP has
-	// and this branch-and-bound does not); see DESIGN.md.
+	// and this branch-and-bound does not); see the README's ILP
+	// section. A parallel solve applies the limit to each worker
+	// separately, and a worker restarts its count with every unit of
+	// work it claims.
 	StallLimit int64
 	// WarmStarts provides initial selections (node per class, -1 for
 	// unselected classes). Each valid one (complete and acyclic from
@@ -210,12 +213,44 @@ type solver struct {
 	shared  *parallelShared
 	unitIdx int
 
-	// levels for TopoInt acyclicity maintenance
-	level []int
+	// maxKids is the largest child count of any node: the most a single
+	// decision can append to the pending list.
+	maxKids int
+	// depth is the branch-and-bound recursion depth; frames[d] holds the
+	// buffers of the branch call at depth d, reused by every call there.
+	depth  int
+	frames []*frame
+	// cyc is the acyclicity check's scratch: a visited set, per-class
+	// longest-path lengths (TopoInt) and a work list.
+	cyc      marks
+	cycDist  []int
+	cycQueue []int
 
 	// sc holds the local search's epoch-stamped scratch buffers.
 	sc *improveScratch
 }
+
+// frame is one branch depth's reusable buffers: the pending list that
+// the depth's decisions extend, and its candidates in search order.
+type frame struct {
+	pending []int
+	cands   candOrder
+}
+
+// cand is a candidate node with its ordering key.
+type cand struct {
+	node int
+	key  float64
+}
+
+// candOrder sorts candidates by key. sort.Sort is not stable, so the
+// order of equal keys is part of the search; TestSolverSearchGolden
+// (internal/extract) pins it.
+type candOrder []cand
+
+func (o candOrder) Len() int           { return len(o) }
+func (o candOrder) Less(a, b int) bool { return o[a].key < o[b].key }
+func (o candOrder) Swap(a, b int)      { o[a], o[b] = o[b], o[a] }
 
 // recordIncumbent notes one incumbent improvement for the Solution's
 // Incumbents / FirstIncumbent diagnostics.
@@ -280,8 +315,8 @@ func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) 
 	}
 	s.need = make([]int, m)
 	s.best = math.Inf(1)
-	if p.CycleConstraints && p.TopoMode == TopoInt {
-		s.level = make([]int, m)
+	for _, hs := range p.Children {
+		s.maxKids = max(s.maxKids, len(hs))
 	}
 	return s, nil
 }
@@ -384,22 +419,21 @@ func SolveContext(ctx context.Context, p *Problem) (*Solution, error) {
 // constraints do not change that: the dominating node's edges are a
 // subset, so it can never introduce a cycle the dominated one avoids.
 func (s *solver) pruneDominated() {
+	var kids marks // children classes of the node under test
+	var orig []int // the class before pruning; keep overwrites members
 	for c, members := range s.allowed {
 		if len(members) < 2 {
 			continue
 		}
-		childSet := make([]map[int]bool, len(members))
-		for k, i := range members {
-			set := make(map[int]bool, len(s.p.Children[i]))
-			for _, h := range s.p.Children[i] {
-				set[h] = true
-			}
-			childSet[k] = set
-		}
+		orig = append(orig[:0], members...)
 		keep := members[:0]
-		for k, i := range members {
+		for k, i := range orig {
+			kids.reset(len(s.p.Classes))
+			for _, h := range s.p.Children[i] {
+				kids.add(h)
+			}
 			dominated := false
-			for k2, j := range members {
+			for k2, j := range orig {
 				if k == k2 || s.p.Costs[j] > s.p.Costs[i] {
 					continue
 				}
@@ -407,8 +441,8 @@ func (s *solver) pruneDominated() {
 					continue // tie-break by position to avoid mutual elimination
 				}
 				subset := true
-				for h := range childSet[k2] {
-					if !childSet[k][h] {
+				for _, h := range s.p.Children[j] {
+					if !kids.has(h) {
 						subset = false
 						break
 					}
@@ -446,44 +480,18 @@ func (s *solver) seedIncumbent() {
 			}
 		}
 	}
-	// Collect the root closure and its DAG cost, rejecting cycles.
-	state := make(map[int]uint8)
-	total := 0.0
-	ok := true
-	var visit func(c int)
-	visit = func(c int) {
-		if !ok || state[c] == 2 {
-			return
-		}
-		if state[c] == 1 {
-			ok = false // cyclic greedy selection: no warm start
-			return
-		}
-		state[c] = 1
-		i := pick[c]
-		if i < 0 || math.IsInf(s.p.Costs[i], 1) {
-			ok = false
-			return
-		}
-		total += s.p.Costs[i]
-		for _, h := range s.p.Children[i] {
-			visit(h)
-		}
-		state[c] = 2
-	}
-	visit(s.p.Root)
+	// Keep the root closure and its DAG cost; an incomplete or cyclic
+	// greedy selection gives no warm start.
+	total, ok := s.selectionCost(pick)
 	if !ok {
 		return
 	}
-	s.best = total
-	s.bestPick = make([]int, len(pick))
 	for c := range pick {
-		if state[c] == 2 {
-			s.bestPick[c] = pick[c]
-		} else {
-			s.bestPick[c] = -1
+		if !s.sc.done.has(c) {
+			pick[c] = -1
 		}
 	}
+	s.best, s.bestPick = total, pick
 }
 
 // computeFree finds, per class, a node with an entirely zero-cost
@@ -647,24 +655,40 @@ func (s *solver) branch(pending []int, bound float64) {
 		return
 	}
 	c := pending[idx]
-	rest := removeAt(pending, idx)
+	f := s.frame()
+	// rest is pending without c, with room for one decision's children.
+	if need := len(pending) - 1 + s.maxKids; cap(f.pending) < need {
+		f.pending = make([]int, 0, 2*need)
+	}
+	rest := append(f.pending[:0], pending[:idx]...)
+	rest = append(rest, pending[idx+1:]...)
 	if forced >= 0 {
 		s.assign(c, forced, rest, bound-s.minCost[c])
 		return
 	}
 
 	// Order candidates by the greedy heuristic.
-	cands := append([]int(nil), s.allowed[c]...)
-	sort.Slice(cands, func(a, b int) bool {
-		return s.nodeHeuristic(cands[a]) < s.nodeHeuristic(cands[b])
-	})
+	cands := f.cands[:0]
+	for _, i := range s.allowed[c] {
+		cands = append(cands, cand{i, s.nodeHeuristic(i)})
+	}
+	f.cands = cands
+	sort.Sort(&f.cands)
 
-	for _, i := range cands {
-		s.assign(c, i, rest, bound-s.minCost[c])
+	for _, cd := range cands {
+		s.assign(c, cd.node, rest, bound-s.minCost[c])
 		if s.timedOut {
 			return
 		}
 	}
+}
+
+// frame returns the buffers of the current branch depth.
+func (s *solver) frame() *frame {
+	for len(s.frames) <= s.depth {
+		s.frames = append(s.frames, new(frame))
+	}
+	return s.frames[s.depth]
 }
 
 // foundSolution records the current complete assignment as an
@@ -693,7 +717,8 @@ func (s *solver) foundSolution() {
 	}
 }
 
-// removeAt returns pending without index i (fresh slice).
+// removeAt returns pending without index i (fresh slice). Only the
+// once-per-solve and once-per-unit paths use it; branch reuses frames.
 func removeAt(pending []int, i int) []int {
 	rest := make([]int, 0, len(pending)-1)
 	rest = append(rest, pending[:i]...)
@@ -707,7 +732,7 @@ func removeAt(pending []int, i int) []int {
 func (s *solver) forcedChoice(c int) int {
 	for _, i := range s.allowed[c] {
 		if s.p.Costs[i] > s.minCost[c]+boundAdjust {
-			continue
+			break // allowed[c] is sorted by cost: no later node qualifies
 		}
 		ok := true
 		for _, h := range s.p.Children[i] {
@@ -772,7 +797,9 @@ func (s *solver) assign(c, i int, pending []int, bound float64) {
 	}
 	st := step{c, i}
 	next, newBound := s.applyStep(st, pending, bound)
+	s.depth++
 	s.branch(next, newBound)
+	s.depth--
 	s.undoStep(st)
 }
 
@@ -797,31 +824,21 @@ func (s *solver) createsCycle(c, i int) bool {
 
 func (s *solver) createsCycleReal(c, i int) bool {
 	// Can we reach c from any child of i through chosen edges?
-	target := c
-	seen := make(map[int]bool)
-	var dfs func(cls int) bool
-	dfs = func(cls int) bool {
-		if cls == target {
+	s.cyc.reset(len(s.p.Classes))
+	stack := append(s.cycQueue[:0], s.p.Children[i]...)
+	defer func() { s.cycQueue = stack[:0] }()
+	for len(stack) > 0 {
+		cls := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if cls == c {
 			return true
 		}
-		if seen[cls] {
-			return false
+		if s.cyc.has(cls) {
+			continue
 		}
-		seen[cls] = true
-		n := s.chosen[cls]
-		if n < 0 {
-			return false
-		}
-		for _, h := range s.p.Children[n] {
-			if dfs(h) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, h := range s.p.Children[i] {
-		if dfs(h) {
-			return true
+		s.cyc.add(cls)
+		if n := s.chosen[cls]; n >= 0 {
+			stack = append(stack, s.p.Children[n]...)
 		}
 	}
 	return false
@@ -837,12 +854,18 @@ func (s *solver) createsCycleInt(c, i int) bool {
 	s.chosen[c] = i
 	defer func() { s.chosen[c] = prev }()
 
-	depth := make(map[int]int)
-	queue := []int{c}
+	// cyc marks the classes with a known depth, kept in cycDist.
+	if len(s.cycDist) < m {
+		s.cycDist = make([]int, m)
+	}
+	depth := s.cycDist
+	s.cyc.reset(m)
+	queue := append(s.cycQueue[:0], c)
+	defer func() { s.cycQueue = queue[:0] }()
+	s.cyc.add(c)
 	depth[c] = 0
-	for len(queue) > 0 {
-		cls := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		cls := queue[head]
 		if depth[cls] >= m {
 			return true // longest path longer than class count: cycle
 		}
@@ -854,7 +877,8 @@ func (s *solver) createsCycleInt(c, i int) bool {
 			if h == c {
 				return true
 			}
-			if d, ok := depth[h]; !ok || d < depth[cls]+1 {
+			if !s.cyc.has(h) || depth[h] < depth[cls]+1 {
+				s.cyc.add(h)
 				depth[h] = depth[cls] + 1
 				queue = append(queue, h)
 			}

@@ -15,29 +15,100 @@ func debugf(format string, args ...any) {
 	}
 }
 
-// improveScratch holds epoch-stamped per-class buffers so the local
-// search allocates nothing proportional to the class count per trial.
-type improveScratch struct {
+// marks is an epoch-stamped set over indices 0..n-1: reset clears it
+// in O(1) by bumping the epoch, so hot loops reuse one array instead of
+// allocating a map or a fresh slice per query.
+type marks struct {
 	epoch int32
-	mark  []int32 // closure/marginal membership, valid when == epoch
-	state []int32 // DFS colors: epoch => on stack, epoch+1 => done
-	pick  []int   // current working selection
-	adds  []addEntry
+	at    []int32
+}
+
+// reset empties the set and sizes it for indices below n.
+func (mk *marks) reset(n int) {
+	if len(mk.at) < n {
+		mk.at = make([]int32, n)
+		mk.epoch = 0
+	}
+	mk.epoch++
+	if mk.epoch == math.MaxInt32 {
+		clear(mk.at)
+		mk.epoch = 1
+	}
+}
+
+func (mk *marks) has(i int) bool { return mk.at[i] == mk.epoch }
+func (mk *marks) add(i int)      { mk.at[i] = mk.epoch }
+
+// improveScratch holds the local search's reusable buffers, so a trial
+// move allocates nothing; only capacity high-water marks grow.
+type improveScratch struct {
+	// inSet marks the classes of the completion being built;
+	// open/done are the selection walk's DFS colors.
+	inSet, open, done marks
+	adds              []addEntry // output of the running completion
+	budget            int        // completion size left before giving up
+
+	required, base, hubCandidate []bool
+	switchable                   []int
+	alts                         []altInfo
+	interested                   [][]int // class -> indices into alts
+	hubAdds, altAdds, tmpAdds    []addEntry
+	candIdx                      []int
+
+	// Per-hub best switch per class, valid where moved has the class:
+	// its gain, node and completion (arena[from:to]).
+	seenAlt, moved marks
+	gain           []float64
+	move           []switchMove
+	touched        []int
+	arena          []addEntry
+	undo           undoLog
 }
 
 type addEntry struct {
 	class, node int
 }
 
-func (sc *improveScratch) next() {
-	sc.epoch += 2
-	if sc.epoch > 1<<30 {
-		for i := range sc.mark {
-			sc.mark[i] = 0
-			sc.state[i] = 0
-		}
-		sc.epoch = 2
+// altInfo is one candidate switch of a selected class to a cheaper
+// node, evaluated against the plain base.
+type altInfo struct {
+	class, node int
+	cur         float64 // cost of the class's current pick
+}
+
+// switchMove is the best switch found for one class under a hub.
+type switchMove struct {
+	node, from, to int
+}
+
+// undoLog records overwritten picks so a trial move can be rolled back.
+type undoLog []addEntry
+
+func (u *undoLog) set(pick []int, c, n int) {
+	*u = append(*u, addEntry{c, pick[c]})
+	pick[c] = n
+}
+
+func (u undoLog) rollback(pick []int) {
+	for k := len(u) - 1; k >= 0; k-- {
+		pick[u[k].class] = u[k].node
 	}
+}
+
+// scratch returns the local search's buffers, sized for the problem.
+func (s *solver) scratch() *improveScratch {
+	if s.sc == nil {
+		m := len(s.p.Classes)
+		s.sc = &improveScratch{
+			required:     make([]bool, m),
+			base:         make([]bool, m),
+			hubCandidate: make([]bool, m),
+			interested:   make([][]int, m),
+			gain:         make([]float64, m),
+			move:         make([]switchMove, m),
+		}
+	}
+	return s.sc
 }
 
 // improveFrom strengthens a warm start with a sharing-aware local
@@ -60,9 +131,7 @@ func (sc *improveScratch) next() {
 // incumbent; exactness is unaffected.
 func (s *solver) improveFrom(start []int) ([]int, float64) {
 	m := len(s.p.Classes)
-	if s.sc == nil {
-		s.sc = &improveScratch{mark: make([]int32, m), state: make([]int32, m)}
-	}
+	sc := s.scratch()
 	pick := append([]int(nil), start...)
 
 	for pass := 0; pass < 512; pass++ {
@@ -75,7 +144,7 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 		}
 		// Classes worth switching for hub moves: selected, paying a
 		// real cost, with at least one cheaper alternative node.
-		var switchable []int
+		switchable := sc.switchable[:0]
 		for c := 0; c < m; c++ {
 			if !required[c] || pick[c] < 0 {
 				continue
@@ -91,65 +160,49 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 				}
 			}
 		}
+		sc.switchable = switchable
 		debugf("pass %d: switchable=%d required-classes=%d", pass, len(switchable), countTrue(required))
 		// Evaluate every candidate alternative once against the current
 		// base, recording its marginal completion ("support"). A hub can
 		// only improve an alternative whose support contains the hub's
 		// completion classes, so an inverted index (class -> interested
 		// alternatives) reduces the hub loop to relevant re-evaluations.
-		type altInfo struct {
-			class, node int
-			cur, gain   float64 // gain against the plain base (may be <= 0)
-			adds        []addEntry
+		alts := sc.alts[:0]
+		interested, hubCandidate := sc.interested, sc.hubCandidate
+		for c := range interested {
+			interested[c] = interested[c][:0]
+			hubCandidate[c] = false
 		}
-		var alts []altInfo
-		interested := make(map[int][]int) // class -> indices into alts
-		hubCandidate := make([]bool, m)
 		for _, c := range switchable {
 			cur := s.p.Costs[pick[c]]
 			for _, i := range s.allowed[c] {
 				if i == pick[c] || s.p.Costs[i] >= cur {
 					continue
 				}
-				marginal := s.p.Costs[i]
-				var adds []addEntry
-				feasible := true
-				for _, h := range s.p.Children[i] {
-					if h == c {
-						feasible = false
-						break
-					}
-					if required[h] {
-						continue
-					}
-					sub, subPick, okc := s.marginalClosureSeen(h, required, adds)
-					if !okc {
-						feasible = false
-						break
-					}
-					marginal += sub
-					adds = append(adds, subPick...)
-				}
+				_, adds, feasible := s.completeNode(c, i, required, sc.altAdds[:0])
+				sc.altAdds = adds
 				if !feasible {
 					continue
 				}
 				idx := len(alts)
-				alts = append(alts, altInfo{class: c, node: i, cur: cur, gain: cur - marginal, adds: adds})
+				alts = append(alts, altInfo{class: c, node: i, cur: cur})
 				for _, a := range adds {
 					interested[a.class] = append(interested[a.class], idx)
 					hubCandidate[a.class] = true
 				}
 			}
 		}
+		sc.alts = alts
 		improved := false
 		hubsTried, bestNet := 0, math.Inf(-1)
-		base := make([]bool, m)
+		base := sc.base
 		for hub := 0; hub < m && !improved; hub++ {
 			if required[hub] || !hubCandidate[hub] || len(s.allowed[hub]) == 0 {
 				continue
 			}
 			hubsTried++
-			addCost, addPick, ok := s.marginalClosure(hub, required)
+			addCost, addPick, ok := s.marginalClosureSeen(hub, required, sc.hubAdds[:0])
+			sc.hubAdds = addPick
 			if !ok || math.IsInf(addCost, 1) || addCost <= boundAdjust {
 				// Free or impossible hubs cannot change the economics.
 				continue
@@ -159,86 +212,77 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 				base[a.class] = true
 			}
 			// Re-evaluate only the alternatives whose support intersects
-			// the hub's completion.
-			candIdx := interested[hub]
+			// the hub's completion, keeping each class's best switch.
+			candIdx := append(sc.candIdx[:0], interested[hub]...)
 			for _, a := range addPick {
 				candIdx = append(candIdx, interested[a.class]...)
 			}
-			type switchMove struct {
-				class, node int
-				adds        []addEntry
-			}
-			bestByClass := make(map[int]switchMove)
-			gainByClass := make(map[int]float64)
-			seenAlt := make(map[int]bool)
+			sc.candIdx = candIdx
+			sc.seenAlt.reset(len(alts))
+			sc.moved.reset(m)
+			sc.touched, sc.arena = sc.touched[:0], sc.arena[:0]
 			for _, idx := range candIdx {
-				if seenAlt[idx] {
+				if sc.seenAlt.has(idx) {
 					continue
 				}
-				seenAlt[idx] = true
+				sc.seenAlt.add(idx)
 				ai := alts[idx]
-				marginal := s.p.Costs[ai.node]
-				var adds []addEntry
-				feasible := true
-				for _, h := range s.p.Children[ai.node] {
-					if base[h] {
-						continue
-					}
-					sub, subPick, okc := s.marginalClosureSeen(h, base, adds)
-					if !okc {
-						feasible = false
-						break
-					}
-					marginal += sub
-					adds = append(adds, subPick...)
-				}
+				marginal, adds, feasible := s.completeNode(ai.class, ai.node, base, sc.altAdds[:0])
+				sc.altAdds = adds
 				if !feasible {
 					continue
 				}
-				if gain := ai.cur - marginal; gain > gainByClass[ai.class]+boundAdjust {
-					gainByClass[ai.class] = gain
-					bestByClass[ai.class] = switchMove{class: ai.class, node: ai.node, adds: adds}
+				c := ai.class
+				prev := 0.0
+				if sc.moved.has(c) {
+					prev = sc.gain[c]
+				}
+				if gain := ai.cur - marginal; gain > prev+boundAdjust {
+					if !sc.moved.has(c) {
+						sc.moved.add(c)
+						sc.touched = append(sc.touched, c)
+					}
+					from := len(sc.arena)
+					sc.arena = append(sc.arena, adds...)
+					sc.gain[c] = gain
+					sc.move[c] = switchMove{node: ai.node, from: from, to: len(sc.arena)}
 				}
 			}
-			var moves []switchMove
+			// Sum the savings in ascending class order, so float
+			// rounding cannot make the verdict depend on visit order.
+			sort.Ints(sc.touched)
 			savings := 0.0
-			for c, mv := range bestByClass {
-				savings += gainByClass[c]
-				moves = append(moves, mv)
+			for _, c := range sc.touched {
+				savings += sc.gain[c]
 			}
-			sort.Slice(moves, func(a, b int) bool { return moves[a].class < moves[b].class })
 			if net := savings - addCost; net > bestNet {
 				bestNet = net
 			}
-			if savings <= addCost+boundAdjust || len(moves) == 0 {
+			if savings <= addCost+boundAdjust || len(sc.touched) == 0 {
 				continue
 			}
 			// Commit tentatively, with an undo log.
 			curCost := s.incumbentCost(pick)
-			var undo []addEntry
-			set := func(c, n int) {
-				undo = append(undo, addEntry{c, pick[c]})
-				pick[c] = n
-			}
+			undo := sc.undo[:0]
 			for _, a := range addPick {
-				set(a.class, a.node)
+				undo.set(pick, a.class, a.node)
 			}
-			for _, mv := range moves {
-				set(mv.class, mv.node)
-				for _, a := range mv.adds {
+			for _, c := range sc.touched {
+				mv := sc.move[c]
+				undo.set(pick, c, mv.node)
+				for _, a := range sc.arena[mv.from:mv.to] {
 					if pick[a.class] < 0 || !required[a.class] {
-						set(a.class, a.node)
+						undo.set(pick, a.class, a.node)
 					}
 				}
 			}
+			sc.undo = undo
 			s.fillFreeFrom(pick, undo)
 			if cost, okc := s.selectionCost(pick); okc && cost < curCost-boundAdjust {
 				improved = true
 				s.improveCommits++
 			} else {
-				for k := len(undo) - 1; k >= 0; k-- {
-					pick[undo[k].class] = undo[k].node
-				}
+				undo.rollback(pick)
 			}
 		}
 		debugf("pass %d: hubsTried=%d bestNet=%.2f improved=%v", pass, hubsTried, bestNet, improved)
@@ -254,6 +298,7 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 // each alternative (greedily completing new requirements) and commits
 // the first full-validation improvement. Returns whether it improved.
 func (s *solver) singleSwitchSweep(pick []int, required []bool) bool {
+	sc := s.scratch()
 	cur := s.incumbentCost(pick)
 	for c := range s.p.Classes {
 		if !required[c] || len(s.allowed[c]) < 2 {
@@ -263,17 +308,8 @@ func (s *solver) singleSwitchSweep(pick []int, required []bool) bool {
 			if i == pick[c] {
 				continue
 			}
-			var undo []addEntry
-			set := func(cc, n int) {
-				undo = append(undo, addEntry{cc, pick[cc]})
-				pick[cc] = n
-			}
-			rollback := func() {
-				for k := len(undo) - 1; k >= 0; k-- {
-					pick[undo[k].class] = undo[k].node
-				}
-			}
-			set(c, i)
+			undo := sc.undo[:0]
+			undo.set(pick, c, i)
 			feasible := true
 			for _, h := range s.p.Children[i] {
 				if h == c {
@@ -283,19 +319,21 @@ func (s *solver) singleSwitchSweep(pick []int, required []bool) bool {
 				if required[h] {
 					continue
 				}
-				_, adds, ok := s.marginalClosure(h, required)
+				_, adds, ok := s.marginalClosureSeen(h, required, sc.tmpAdds[:0])
+				sc.tmpAdds = adds
 				if !ok {
 					feasible = false
 					break
 				}
 				for _, a := range adds {
 					if pick[a.class] < 0 || !required[a.class] {
-						set(a.class, a.node)
+						undo.set(pick, a.class, a.node)
 					}
 				}
 			}
+			sc.undo = undo
 			if !feasible {
-				rollback()
+				undo.rollback(pick)
 				continue
 			}
 			s.fillFreeFrom(pick, undo)
@@ -304,7 +342,7 @@ func (s *solver) singleSwitchSweep(pick []int, required []bool) bool {
 				debugf("single-switch: class %d -> node %d, %.2f -> %.2f", c, i, cur, cost)
 				return true
 			}
-			rollback()
+			undo.rollback(pick)
 		}
 	}
 	return false
@@ -322,35 +360,16 @@ func countTrue(b []bool) int {
 
 // closure returns the set of classes reachable from the root through
 // the current picks, or nil if the selection is incomplete or cyclic.
+// The set is a scratch buffer, valid until the next call.
 func (s *solver) closure(pick []int) []bool {
-	seen := make([]bool, len(s.p.Classes))
-	state := make([]uint8, len(s.p.Classes))
-	ok := true
-	var visit func(c int)
-	visit = func(c int) {
-		if !ok || state[c] == 2 {
-			return
-		}
-		if state[c] == 1 {
-			ok = false
-			return
-		}
-		state[c] = 1
-		if pick[c] < 0 {
-			ok = false
-			return
-		}
-		seen[c] = true
-		for _, h := range s.p.Children[pick[c]] {
-			visit(h)
-		}
-		state[c] = 2
-	}
-	visit(s.p.Root)
-	if !ok {
+	if _, ok := s.selectionCost(pick); !ok {
 		return nil
 	}
-	return seen
+	sc := s.sc
+	for c := range sc.required {
+		sc.required[c] = sc.done.has(c)
+	}
+	return sc.required
 }
 
 // incumbentCost is the closure cost of a selection assumed valid.
@@ -363,147 +382,164 @@ func (s *solver) incumbentCost(pick []int) float64 {
 }
 
 // selectionCost validates a selection (complete and acyclic from the
-// root) and returns its DAG cost, allocating only scratch epochs.
+// root) and returns its DAG cost. It leaves the visited classes in
+// the scratch's done set.
 func (s *solver) selectionCost(pick []int) (float64, bool) {
-	if s.sc == nil {
-		m := len(s.p.Classes)
-		s.sc = &improveScratch{mark: make([]int32, m), state: make([]int32, m)}
-	}
-	sc := s.sc
-	sc.next()
-	onStack, done := sc.epoch, sc.epoch+1
+	sc := s.scratch()
+	m := len(s.p.Classes)
+	sc.open.reset(m)
+	sc.done.reset(m)
 	total := 0.0
-	ok := true
-	var visit func(c int)
-	visit = func(c int) {
-		if !ok || sc.state[c] == done {
-			return
-		}
-		if sc.state[c] == onStack {
-			ok = false
-			return
-		}
-		sc.state[c] = onStack
-		if pick[c] < 0 {
-			ok = false
-			return
-		}
-		total += s.p.Costs[pick[c]]
-		for _, h := range s.p.Children[pick[c]] {
-			visit(h)
-		}
-		sc.state[c] = done
-	}
-	visit(s.p.Root)
-	if !ok {
+	if !s.walkSelection(pick, s.p.Root, &total) {
 		return 0, false
 	}
 	return total, true
 }
 
-// marginalClosure computes the cheapest completion of class c on top
-// of the base set: the extra classes that must be selected and their
-// total cost. Free classes complete through freePick at zero cost.
-func (s *solver) marginalClosure(c int, base []bool) (float64, []addEntry, bool) {
-	return s.marginalClosureSeen(c, base, nil)
+// walkSelection adds the cost of c's unvisited closure to total in
+// depth-first preorder, failing on an unpicked class or a cycle.
+func (s *solver) walkSelection(pick []int, c int, total *float64) bool {
+	sc := s.sc
+	if sc.done.has(c) {
+		return true
+	}
+	if sc.open.has(c) || pick[c] < 0 {
+		return false
+	}
+	sc.open.add(c)
+	*total += s.p.Costs[pick[c]]
+	for _, h := range s.p.Children[pick[c]] {
+		if !s.walkSelection(pick, h, total) {
+			return false
+		}
+	}
+	sc.done.add(c)
+	return true
 }
 
-// marginalClosureSeen is marginalClosure with extra already-completed
-// entries (from sibling completions) treated as zero-cost base.
-func (s *solver) marginalClosureSeen(c int, base []bool, already []addEntry) (float64, []addEntry, bool) {
-	if s.sc == nil {
-		m := len(s.p.Classes)
-		s.sc = &improveScratch{mark: make([]int32, m), state: make([]int32, m)}
+// completeNode prices switching class c to node i on top of base: the
+// node's cost plus the cheapest completion of its children outside
+// base, which it appends to adds. A child equal to c is a self-loop
+// and makes the switch infeasible.
+func (s *solver) completeNode(c, i int, base []bool, adds []addEntry) (float64, []addEntry, bool) {
+	marginal := s.p.Costs[i]
+	for _, h := range s.p.Children[i] {
+		if h == c {
+			return 0, adds, false
+		}
+		if base[h] {
+			continue
+		}
+		sub, more, ok := s.marginalClosureSeen(h, base, adds)
+		adds = more
+		if !ok {
+			return 0, adds, false
+		}
+		marginal += sub
 	}
+	return marginal, adds, true
+}
+
+// marginalClosureSeen computes the cheapest completion of class c on
+// top of the base set and appends it to adds: the extra classes that
+// must be selected, with their nodes. Classes already in adds (sibling
+// completions) count as completed at zero cost. It returns the
+// completion's cost and the extended slice; on failure the entries past
+// the original length are garbage. Free classes complete through
+// freePick at zero cost.
+//
+// A completion may close a cycle: a class reached again while its own
+// completion is in progress is already marked, so it counts as done.
+// Such selections are rejected where every move is re-validated by
+// selectionCost before it commits.
+func (s *solver) marginalClosureSeen(c int, base []bool, adds []addEntry) (float64, []addEntry, bool) {
+	sc := s.scratch()
+	sc.inSet.reset(len(s.p.Classes))
+	for _, a := range adds {
+		sc.inSet.add(a.class)
+	}
+	sc.adds = adds
+	sc.budget = 512 // completions larger than this are never profitable hubs
+	cost, ok := s.complete(c, base)
+	adds, sc.adds = sc.adds, nil
+	return cost, adds, ok
+}
+
+// complete is marginalClosureSeen's recursion: it completes class h,
+// appending to the scratch's adds, and returns the added cost.
+func (s *solver) complete(h int, base []bool) (float64, bool) {
 	sc := s.sc
-	sc.next()
-	inSet, onStack := sc.epoch, sc.epoch+1
-	for _, a := range already {
-		sc.mark[a.class] = inSet
+	if base[h] || sc.inSet.has(h) {
+		return 0, true
 	}
-	var adds []addEntry
-	budget := 512 // completions larger than this are never profitable hubs
-	var rec func(h int) (float64, bool)
-	rec = func(h int) (float64, bool) {
-		if base[h] || sc.mark[h] == inSet {
-			return 0, true
-		}
-		if budget--; budget < 0 {
-			return 0, false
-		}
-		if sc.state[h] == onStack {
-			return 0, false // cycle
-		}
-		sc.state[h] = onStack
-		defer func() { sc.state[h] = 0 }()
-		if f := s.freePick[h]; f >= 0 {
-			sc.mark[h] = inSet
-			adds = append(adds, addEntry{h, f})
-			for _, ch := range s.p.Children[f] {
-				if _, ok := rec(ch); !ok {
-					return 0, false
-				}
-			}
-			return 0, true
-		}
-		// Choose the node with the least marginal cost by the static
-		// tree heuristic, then recurse.
-		bestNode, bestHeur := -1, math.Inf(1)
-		for _, i := range s.allowed[h] {
-			t := s.p.Costs[i]
-			for _, ch := range s.p.Children[i] {
-				if !base[ch] && sc.mark[ch] != inSet {
-					t += s.greedy[ch]
-				}
-			}
-			if t < bestHeur {
-				bestHeur, bestNode = t, i
-			}
-		}
-		if bestNode < 0 {
-			return 0, false
-		}
-		sc.mark[h] = inSet
-		adds = append(adds, addEntry{h, bestNode})
-		total := s.p.Costs[bestNode]
-		for _, ch := range s.p.Children[bestNode] {
-			sub, ok := rec(ch)
-			if !ok {
+	if sc.budget--; sc.budget < 0 {
+		return 0, false
+	}
+	if f := s.freePick[h]; f >= 0 {
+		sc.inSet.add(h)
+		sc.adds = append(sc.adds, addEntry{h, f})
+		for _, ch := range s.p.Children[f] {
+			if _, ok := s.complete(ch, base); !ok {
 				return 0, false
 			}
-			total += sub
 		}
-		return total, true
+		return 0, true
 	}
-	cost, ok := rec(c)
-	if !ok {
-		return 0, nil, false
+	// Choose the node with the least marginal cost by the static
+	// tree heuristic, then recurse.
+	bestNode, bestHeur := -1, math.Inf(1)
+	for _, i := range s.allowed[h] {
+		t := s.p.Costs[i]
+		for _, ch := range s.p.Children[i] {
+			if !base[ch] && !sc.inSet.has(ch) {
+				t += s.greedy[ch]
+			}
+		}
+		if t < bestHeur {
+			bestHeur, bestNode = t, i
+		}
 	}
-	return cost, adds, true
+	if bestNode < 0 {
+		return 0, false
+	}
+	sc.inSet.add(h)
+	sc.adds = append(sc.adds, addEntry{h, bestNode})
+	total := s.p.Costs[bestNode]
+	for _, ch := range s.p.Children[bestNode] {
+		sub, ok := s.complete(ch, base)
+		if !ok {
+			return 0, false
+		}
+		total += sub
+	}
+	return total, true
 }
 
 // fillFreeFrom assigns freePick derivations for classes referenced by
-// recently changed picks but still unpicked, recording assignments in
-// the undo log via direct append (callers roll back through pick).
+// recently changed picks but still unpicked. These assignments are not
+// logged: a rolled-back move may leave free picks on classes outside
+// the selection's closure, which neither its cost nor its validity
+// reads.
 func (s *solver) fillFreeFrom(pick []int, changed []addEntry) {
-	var ensure func(h int)
-	ensure = func(h int) {
-		if pick[h] >= 0 {
-			return
-		}
-		if f := s.freePick[h]; f >= 0 {
-			pick[h] = f
-			for _, ch := range s.p.Children[f] {
-				ensure(ch)
-			}
-		}
-	}
 	for _, e := range changed {
 		if pick[e.class] < 0 {
 			continue
 		}
 		for _, h := range s.p.Children[pick[e.class]] {
-			ensure(h)
+			s.ensureFree(pick, h)
+		}
+	}
+}
+
+// ensureFree picks h's free derivation, recursively, if h is unpicked.
+func (s *solver) ensureFree(pick []int, h int) {
+	if pick[h] >= 0 {
+		return
+	}
+	if f := s.freePick[h]; f >= 0 {
+		pick[h] = f
+		for _, ch := range s.p.Children[f] {
+			s.ensureFree(pick, ch)
 		}
 	}
 }

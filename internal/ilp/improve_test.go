@@ -1,7 +1,9 @@
 package ilp
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -80,5 +82,51 @@ func TestSolveFindsJointSwitch(t *testing.T) {
 	}
 	if math.Abs(sol.Cost-8.8) > 1e-9 {
 		t.Fatalf("cost %v, want 8.8", sol.Cost)
+	}
+}
+
+// TestHubMoveClosingCycleNeverCommits builds a selection whose only
+// improving move closes a cycle: class 1 can trade its 8.4 leaf for a
+// free node that needs hub class 2, whose completion runs through
+// class 3 back to class 1. The completion counts the back edge to
+// class 1 as done, so the hub move looks profitable; the re-validation
+// before the commit must reject it and leave the warm start in place.
+func TestHubMoveClosingCycleNeverCommits(t *testing.T) {
+	p := &Problem{
+		//                  0  1    2  3  4
+		Costs:            []float64{1, 8.4, 0, 1, 0.5},
+		ClassOf:          []int{0, 1, 1, 2, 3},
+		Children:         [][]int{{1}, nil, {2}, {3}, {1}},
+		Classes:          [][]int{{0}, {1, 2}, {3}, {4}},
+		Root:             0,
+		CycleConstraints: true,
+	}
+	var lines []string
+	DebugHook = func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	defer func() { DebugHook = nil }()
+
+	s := newSolverForTest(p)
+	s.seedIncumbent()
+	if s.best != 9.4 {
+		t.Fatalf("greedy seed cost %v, want 9.4", s.best)
+	}
+	pick, cost := s.improveFrom(s.bestPick)
+	if cost != 9.4 || pick[1] != 1 || s.improveCommits != 0 {
+		t.Fatalf("local search committed a cyclic move: cost %v, class 1 -> node %d, %d commits",
+			cost, pick[1], s.improveCommits)
+	}
+	// The hub moves were evaluated as profitable, so only the commit's
+	// re-validation kept them out.
+	want := "pass 0: hubsTried=2 bestNet=6.90 improved=false"
+	if !slices.Contains(lines, want) {
+		t.Fatalf("no rejected profitable hub move in the trace %q", lines)
+	}
+
+	sol, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Cost != 9.4 || !sol.Optimal {
+		t.Fatalf("solution %+v, want the acyclic optimum 9.4", sol)
 	}
 }

@@ -144,7 +144,8 @@ func (s *solver) collectUnits(target int) []unit {
 }
 
 // worker clones the master's read-only tables into a fresh search
-// state bound to the shared incumbent.
+// state bound to the shared incumbent. The worker grows its own branch
+// frames and cycle scratch, so workers share no mutable buffer.
 func (s *solver) worker(sh *parallelShared) *solver {
 	m := len(s.p.Classes)
 	w := &solver{
@@ -156,6 +157,7 @@ func (s *solver) worker(sh *parallelShared) *solver {
 		minCost:     s.minCost,
 		greedy:      s.greedy,
 		freePick:    s.freePick,
+		maxKids:     s.maxKids,
 		chosen:      make([]int, m),
 		need:        make([]int, m),
 		best:        sh.best(),
@@ -164,9 +166,6 @@ func (s *solver) worker(sh *parallelShared) *solver {
 	}
 	for i := range w.chosen {
 		w.chosen[i] = -1
-	}
-	if s.p.CycleConstraints && s.p.TopoMode == TopoInt {
-		w.level = make([]int, m)
 	}
 	return w
 }

@@ -96,10 +96,16 @@ func TestProgressLogRingKeepsDeliveringPastCap(t *testing.T) {
 // result, and counters.
 func TestJobLifecycleWithProgress(t *testing.T) {
 	s := New(Config{Workers: 1})
+	start := make(chan struct{}) // closed once the queued snapshot is checked
 	step := make(chan struct{})
 	release := make(chan struct{})
 	res := stubResult(t)
 	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
+		select {
+		case <-start:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		o.Progress(tensat.Progress{Phase: tensat.PhaseExplore, Iteration: 1, ENodes: 10})
 		select {
 		case <-step:
@@ -122,6 +128,7 @@ func TestJobLifecycleWithProgress(t *testing.T) {
 	if st, p := job.Status(); st != JobRunning || p.Phase != tensat.PhaseQueued {
 		t.Fatalf("initial status = %s/%s, want running/queued", st, p.Phase)
 	}
+	close(start)
 
 	// The run's first snapshot must surface through the job's log.
 	waitFor(t, func() bool { _, p := job.Status(); return p.Iteration == 1 })
