@@ -49,17 +49,16 @@ var ErrUnavailable = errors.New("backend: solver unavailable")
 // ErrUnknown reports a solver name Select does not recognize.
 var ErrUnknown = errors.New("backend: unknown solver name")
 
-// Builtin runs the in-process branch-and-bound.
+// Builtin runs the in-process branch-and-bound with Workers goroutines
+// (0 = default); Workers == 1 is the single-threaded search.
 type Builtin struct {
-	// Sequential forces the single-threaded search; otherwise the
-	// parallel solver runs with Workers goroutines (0 = default).
-	Sequential bool
-	Workers    int
+	Workers int
 }
 
-// Name implements Solver.
+// Name implements Solver: "builtin-seq" for the single-threaded
+// search, "builtin" otherwise.
 func (b Builtin) Name() string {
-	if b.Sequential {
+	if b.Workers == 1 {
 		return "builtin-seq"
 	}
 	return "builtin"
@@ -70,9 +69,6 @@ func (b Builtin) Available() bool { return true }
 
 // Solve implements Solver.
 func (b Builtin) Solve(ctx context.Context, p *ilp.Problem) (*ilp.Solution, error) {
-	if b.Sequential {
-		return ilp.SolveContext(ctx, p)
-	}
 	return ilp.SolveParallelContext(ctx, p, b.Workers)
 }
 
@@ -249,14 +245,14 @@ func Valid(name string) bool {
 }
 
 // Select resolves a solver name to a backend. The empty name means the
-// default: the parallel builtin solver. workers applies only to the
-// builtin backends.
+// default: the parallel builtin solver. workers applies only to
+// "builtin"; "builtin-seq" is the builtin at one worker.
 func Select(name string, workers int) (Solver, error) {
 	switch name {
 	case "", "builtin":
 		return Builtin{Workers: workers}, nil
 	case "builtin-seq":
-		return Builtin{Sequential: true}, nil
+		return Builtin{Workers: 1}, nil
 	case "cbc", "highs":
 		return External{Binary: name}, nil
 	default:

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -78,12 +79,43 @@ func TestSelect(t *testing.T) {
 	}
 }
 
+// TestBuiltinSeqIsBuiltinAtOneWorker: the "builtin-seq" wire name is
+// the builtin solver at one worker, with the identical solution.
+func TestBuiltinSeqIsBuiltinAtOneWorker(t *testing.T) {
+	seq, err := Select("builtin-seq", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Select("builtin", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != one || seq.Name() != "builtin-seq" {
+		t.Fatalf("Select(builtin-seq) = %#v (%s), Select(builtin, 1) = %#v", seq, seq.Name(), one)
+	}
+	p := modelZoo()["cyclic-int"]
+	a, err := seq.Solve(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := one.Solve(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wall-clock fields aside, the two solutions must be identical.
+	a.Time, a.FirstIncumbent = 0, 0
+	b.Time, b.FirstIncumbent = 0, 0
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("builtin-seq %+v != builtin at one worker %+v", a, b)
+	}
+}
+
 func TestBuiltinSolvesZoo(t *testing.T) {
 	// chain: the cheapest derivation takes the class-0 leaf (cost 4)
 	// over walking the whole 10-link chain (cost 10).
 	want := map[string]float64{"diamond": 121, "cyclic-real": 11, "cyclic-int": 11, "chain": 4}
 	for name, p := range modelZoo() {
-		seq, err := (Builtin{Sequential: true}).Solve(context.Background(), p)
+		seq, err := (Builtin{Workers: 1}).Solve(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -173,7 +205,7 @@ func TestExternalDifferentialZoo(t *testing.T) {
 				t.Skipf("%s not on PATH", binary)
 			}
 			for name, p := range modelZoo() {
-				want, err := (Builtin{Sequential: true}).Solve(context.Background(), p)
+				want, err := (Builtin{Workers: 1}).Solve(context.Background(), p)
 				if err != nil {
 					t.Fatalf("%s: builtin: %v", name, err)
 				}

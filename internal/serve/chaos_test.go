@@ -90,9 +90,9 @@ func TestPipelinePanicIsIsolated(t *testing.T) {
 
 // TestHTTPPanicAnswersInternalError: a panic escaping the injected
 // optimize function (i.e. from serving code, not the pipeline) is
-// recovered at the worker site, mapped to a 500 with the stable
-// "internal_error" code, and the daemon keeps serving: the next
-// request over the same connection pool succeeds.
+// recovered at the worker site, the job's result maps to a 500 with the
+// stable "internal_error" code, and the daemon keeps serving: the next
+// job over the same connection pool succeeds.
 func TestHTTPPanicAnswersInternalError(t *testing.T) {
 	s := New(Config{Workers: 2})
 	res := stubResult(t)
@@ -107,32 +107,18 @@ func TestHTTPPanicAnswersInternalError(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
 
-	post := func() (*http.Response, errorReply) {
-		t.Helper()
-		body, err := json.Marshal(OptimizeRequest{Graph: graphText(t, testGraph(t, 1))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/optimize", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var er errorReply
-		_ = json.NewDecoder(resp.Body).Decode(&er)
-		return resp, er
-	}
-
-	resp, er := post()
-	if resp.StatusCode != http.StatusInternalServerError || er.Code != "internal_error" {
-		t.Fatalf("faulted request: status %d code %q, want 500 internal_error", resp.StatusCode, er.Code)
+	req := OptimizeRequest{Graph: graphText(t, testGraph(t, 1))}
+	status, _, raw := postOptimize(t, ts.URL, req)
+	var er errorReply
+	_ = json.Unmarshal([]byte(raw), &er)
+	if status != http.StatusInternalServerError || er.Code != "internal_error" {
+		t.Fatalf("faulted job result: status %d code %q, want 500 internal_error", status, er.Code)
 	}
 	if got := s.Stats(); got.Panics["worker"] != 1 {
 		t.Fatalf("panics = %v, want worker:1", got.Panics)
 	}
-	resp, _ = post()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-panic request: status %d, want 200 (daemon survived)", resp.StatusCode)
+	if status, _, raw = postOptimize(t, ts.URL, req); status != http.StatusOK {
+		t.Fatalf("post-panic job: status %d (%s), want 200 (daemon survived)", status, raw)
 	}
 }
 

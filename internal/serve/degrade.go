@@ -9,9 +9,9 @@ import (
 	"tensat/internal/cachestore"
 )
 
-// ErrDraining is returned by the submission surfaces once BeginDrain
-// has been called: the daemon is shutting down, finishing the work it
-// holds but accepting no more. Transports answer 503 with Retry-After
+// ErrDraining is returned by job submission (SubmitJob, Optimize) once
+// BeginDrain has been called: the daemon is shutting down, finishing
+// the work it holds but accepting no more. Transports answer 503 with Retry-After
 // so load balancers move on to a healthy node.
 var ErrDraining = errors.New("serve: draining for shutdown")
 
@@ -188,9 +188,9 @@ func (d *drainState) wait(ctx context.Context) error {
 }
 
 // BeginDrain flips the service into draining mode: running work
-// continues, but new synchronous requests and job submissions fail
-// with ErrDraining, /v1/readyz answers 503, and every open SSE stream
-// receives a terminal "draining" event. Idempotent.
+// continues, but new job submissions (synchronous Optimize calls
+// included) fail with ErrDraining, /v1/readyz answers 503, and every
+// open SSE stream receives a terminal "draining" event. Idempotent.
 func (s *Service) BeginDrain() {
 	s.drain.begin()
 }
@@ -199,8 +199,9 @@ func (s *Service) BeginDrain() {
 func (s *Service) Draining() bool { return s.drain.active() }
 
 // Drain begins draining (if not already begun) and blocks until every
-// tracked asynchronous job has finished or ctx expires. The caller —
-// the daemon's SIGTERM path — bounds it with its -drain-timeout.
+// tracked job — in-flight Optimize calls included — has finished or
+// ctx expires. The caller — the daemon's SIGTERM path — bounds it with
+// its -drain-timeout.
 func (s *Service) Drain(ctx context.Context) error {
 	s.drain.begin()
 	return s.drain.wait(ctx)

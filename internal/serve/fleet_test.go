@@ -762,8 +762,9 @@ func TestHTTPTenantAuth(t *testing.T) {
 }
 
 // TestHTTP429CarriesRetryAfter drives the shed ladder over HTTP: the
-// over-quota request degrades (200, degraded:true) and the rejection
-// beyond it is a 429 with Retry-After and a machine-readable code.
+// over-quota job degrades (its result reads degraded:true) and the
+// submission beyond it is a 429 with Retry-After and a machine-readable
+// code.
 func TestHTTP429CarriesRetryAfter(t *testing.T) {
 	reg, err := tenant.Parse([]byte(shedTenants))
 	if err != nil {
@@ -784,18 +785,9 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
 
-	post := func(seed int) *http.Response {
+	do := func(method, path string, body io.Reader) *http.Response {
 		t.Helper()
-		g := testGraph(t, seed)
-		text, err := g.MarshalText()
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := json.Marshal(OptimizeRequest{Graph: string(text)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/optimize", bytes.NewReader(body))
+		req, err := http.NewRequest(method, ts.URL+path, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -807,30 +799,38 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 		}
 		return resp
 	}
-
-	type reply struct {
-		status int
-		body   OptimizeReply
+	post := func(seed int) *http.Response {
+		t.Helper()
+		text, err := testGraph(t, seed).MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(OptimizeRequest{Graph: string(text)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return do(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
 	}
-	replies := make(chan reply, 2)
-	submit := func(seed int) {
+	submit := func(seed int) string {
+		t.Helper()
 		resp := post(seed)
 		defer resp.Body.Close()
-		var or OptimizeReply
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&or); err != nil {
-				t.Error(err)
-			}
+		var jr JobReply
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d, want 202", seed, resp.StatusCode)
 		}
-		replies <- reply{resp.StatusCode, or}
+		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+			t.Fatal(err)
+		}
+		return jr.ID
 	}
-	go submit(1)
+	ids := []string{submit(1)}
 	waitFor(t, func() bool { return calls.Load() == 1 })
-	go submit(2)
+	ids = append(ids, submit(2))
 	waitFor(t, func() bool { return calls.Load() == 2 })
 
 	// Both the tenant's slot and its shed headroom are now held: the
-	// next request is the explicit rejection.
+	// next submission is the explicit rejection.
 	resp := post(3)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -846,20 +846,31 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 
 	close(release)
 	var sawDegraded bool
-	for i := 0; i < 2; i++ {
-		r := <-replies
-		if r.status != http.StatusOK {
-			t.Fatalf("held request answered %d, want 200", r.status)
+	for _, id := range ids {
+		job, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("job %s not tracked", id)
 		}
-		if r.body.Degraded {
+		<-job.Done()
+		resp := do(http.MethodGet, "/v1/jobs/"+id+"/result", nil)
+		var or OptimizeReply
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("held job answered %d, want 200", resp.StatusCode)
+		}
+		err := json.NewDecoder(resp.Body).Decode(&or)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if or.Degraded {
 			sawDegraded = true
-			if r.body.Cached {
+			if or.Cached {
 				t.Fatal("degraded reply claims cached")
 			}
 		}
 	}
 	if !sawDegraded {
-		t.Fatal("no HTTP reply carried degraded:true")
+		t.Fatal("no job result carried degraded:true")
 	}
 }
 

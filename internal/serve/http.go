@@ -22,26 +22,24 @@ import (
 	"tensat/internal/tensor"
 )
 
-// OptimizeRequest is the body of POST /optimize and POST /v1/jobs: the
-// graph in the textual wire format of tensor.Graph.MarshalText, the
-// optimization knobs — including the "ruleset"/"cost_model" profile
-// selectors — and an optional deadline. Unknown fields are rejected,
-// so a typo like "worker": 4 errors instead of silently running with
-// defaults.
+// OptimizeRequest is the body of POST /v1/jobs: the graph in the
+// textual wire format of tensor.Graph.MarshalText, the optimization
+// knobs — including the "ruleset"/"cost_model" profile selectors — and
+// an optional deadline. Unknown fields are rejected, so a typo like
+// "worker": 4 errors instead of silently running with defaults.
 type OptimizeRequest struct {
 	// Graph is the graph in the S-expression wire format, e.g.
 	// "(output (matmul 0 (input \"x@64 256\") (weight \"w@256 256\")))".
 	Graph string `json:"graph"`
 	// Options refine the server's base configuration.
 	Options RequestOptions `json:"options"`
-	// TimeoutMS bounds the work. On /optimize it bounds the whole
-	// request (queueing + optimization); on /v1/jobs it bounds the job
-	// itself, which otherwise runs until done or canceled.
+	// TimeoutMS bounds the job (queueing + optimization), which
+	// otherwise runs until done or canceled; a job that runs out of
+	// time ends canceled.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// OptimizeReply is the body answering POST /optimize and
-// GET /v1/jobs/{id}/result.
+// OptimizeReply is the body answering GET /v1/jobs/{id}/result.
 type OptimizeReply struct {
 	Fingerprint string `json:"fingerprint"`
 	Cached      bool   `json:"cached"`
@@ -309,15 +307,8 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 //	GET    /v1/healthz          — liveness probe
 //	GET    /v1/readyz           — readiness probe (503 while draining)
 //	GET    /metrics             — Prometheus text exposition
-//
-// Deprecated surface, answering with Deprecation/Link successor
-// headers: POST /optimize (synchronous submit-and-wait, sharing the
-// result cache and singleflight with the job surface).
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /optimize", func(w http.ResponseWriter, r *http.Request) {
-		handleOptimize(s, w, r)
-	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		handleSubmitJob(s, w, r)
 	})
@@ -831,22 +822,7 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := s.SubmitJobAs(g, req.Options, time.Duration(req.TimeoutMS)*time.Millisecond, tenantFrom(r.Context()))
 	if err != nil {
-		var rle *RateLimitError
-		switch {
-		case errors.Is(err, ErrBadOptions):
-			writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
-		case errors.Is(err, ErrDraining):
-			// Shutting down: send the client to another node.
-			writeError(w, http.StatusServiceUnavailable, "draining", err.Error(), time.Second)
-		case errors.Is(err, ErrJobStoreFull):
-			// Backpressure, not a fault: tell the client when to retry
-			// and which condition it hit.
-			writeError(w, http.StatusTooManyRequests, "job_store_full", err.Error(), time.Second)
-		case errors.As(err, &rle):
-			writeError(w, http.StatusTooManyRequests, "rate_limited", err.Error(), rle.RetryAfter)
-		default:
-			writeJSON(w, http.StatusInternalServerError, errorReply{Error: err.Error()})
-		}
+		writeRunError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, toJobReply(job))
@@ -868,14 +844,40 @@ func handleJobResult(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := job.Outcome()
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusConflict // canceled: there is no result to fetch
-		}
-		writeJSON(w, status, errorReply{Error: err.Error()})
+		writeRunError(w, err)
 		return
 	}
 	writeOptimizeReply(w, resp)
+}
+
+// writeRunError maps a failed submission or a failed job's outcome to
+// its HTTP status and error code.
+func writeRunError(w http.ResponseWriter, err error) {
+	var rle *RateLimitError
+	var perr *tensat.PanicError
+	switch {
+	case errors.Is(err, ErrBadOptions):
+		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
+	case errors.Is(err, ErrDraining):
+		// Shutting down: send the client to another node.
+		writeError(w, http.StatusServiceUnavailable, "draining", err.Error(), time.Second)
+	case errors.Is(err, ErrJobStoreFull):
+		// Backpressure, not a fault: tell the client when to retry
+		// and which condition it hit.
+		writeError(w, http.StatusTooManyRequests, "job_store_full", err.Error(), time.Second)
+	case errors.As(err, &rle):
+		writeError(w, http.StatusTooManyRequests, "rate_limited", err.Error(), rle.RetryAfter)
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// Canceled or timed out: there is no result to fetch.
+		writeJSON(w, http.StatusConflict, errorReply{Error: err.Error()})
+	case errors.As(err, &perr):
+		// A recovered pipeline panic: a server fault with a stable
+		// code, never cached, and — by virtue of answering at all —
+		// proof the daemon survived it.
+		writeError(w, http.StatusInternalServerError, "internal_error", err.Error(), 0)
+	default:
+		writeJSON(w, http.StatusInternalServerError, errorReply{Error: err.Error()})
+	}
 }
 
 // handleJobEvents streams the job's progress log as server-sent
@@ -1087,58 +1089,6 @@ func AccessLog(log *slog.Logger, next http.Handler) http.Handler {
 			"duration", time.Since(start),
 			"remote", r.RemoteAddr)
 	})
-}
-
-func handleOptimize(s *Service, w http.ResponseWriter, r *http.Request) {
-	// The synchronous endpoint predates the /v1 job surface and is
-	// kept as a submit-and-wait shim (it still shares the result cache
-	// and singleflight). Headers point clients at the successor.
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/jobs>; rel="successor-version"`)
-	req, g, ok := decodeRequest(w, r)
-	if !ok {
-		return
-	}
-
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	resp, err := s.OptimizeAs(ctx, g, req.Options, tenantFrom(r.Context()))
-	if err != nil {
-		var rle *RateLimitError
-		if errors.As(err, &rle) {
-			writeError(w, http.StatusTooManyRequests, "rate_limited", err.Error(), rle.RetryAfter)
-			return
-		}
-		if errors.Is(err, ErrDraining) {
-			writeError(w, http.StatusServiceUnavailable, "draining", err.Error(), time.Second)
-			return
-		}
-		var perr *tensat.PanicError
-		if errors.As(err, &perr) {
-			// A recovered pipeline panic: a server fault with a stable
-			// code, never cached, and — by virtue of answering at all —
-			// proof the daemon survived it.
-			writeError(w, http.StatusInternalServerError, "internal_error", err.Error(), 0)
-			return
-		}
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrBadOptions):
-			status = http.StatusBadRequest
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			// Client went away mid-request; the reply is best-effort.
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, errorReply{Error: err.Error()})
-		return
-	}
-	writeOptimizeReply(w, resp)
 }
 
 func writeOptimizeReply(w http.ResponseWriter, resp *Response) {

@@ -31,13 +31,16 @@ func newTestServer(t *testing.T) (*Service, *httptest.Server) {
 	return s, ts
 }
 
+// postOptimize submits a job over /v1/jobs and waits for it: a refused
+// submission comes back as is, otherwise the job's result answer.
 func postOptimize(t *testing.T, url string, req OptimizeRequest) (int, OptimizeReply, string) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
+	status, job, raw := postJob(t, url, req)
+	if status != http.StatusAccepted {
+		return status, OptimizeReply{}, raw
 	}
-	resp, err := http.Post(url+"/optimize", "application/json", bytes.NewReader(body))
+	readSSE(t, url, job.ID)
+	resp, err := http.Get(url + "/v1/jobs/" + job.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,22 +199,13 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Errorf("shape mismatch: status %d, want 400 (%s)", status, raw)
 	}
 	// Malformed JSON body.
-	resp, err := http.Post(ts.URL+"/optimize", "application/json", strings.NewReader("{"))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: status %d", resp.StatusCode)
-	}
-	// Wrong method.
-	resp, err = http.Get(ts.URL + "/optimize")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("GET /optimize accepted")
 	}
 }
 
@@ -227,8 +221,9 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 }
 
-// TestHTTPRequestTimeout verifies timeout_ms maps to 504 when the
-// optimization cannot finish in time.
+// TestHTTPRequestTimeout verifies that a job whose timeout_ms runs out
+// before the optimization finishes ends canceled, and that its result
+// endpoint answers 409.
 func TestHTTPRequestTimeout(t *testing.T) {
 	s := New(Config{Workers: 1})
 	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
@@ -237,11 +232,23 @@ func TestHTTPRequestTimeout(t *testing.T) {
 	}
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
-	status, _, raw := postOptimize(t, ts.URL, OptimizeRequest{
+	status, job, raw := postJob(t, ts.URL, OptimizeRequest{
 		Graph:     `(output (relu (input "x@8 8")))`,
 		TimeoutMS: 50,
 	})
-	if status != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d (%s), want 504", status, raw)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status = %d (%s), want 202", status, raw)
+	}
+	readSSE(t, ts.URL, job.ID)
+	if _, reply := getJob(t, ts.URL, job.ID); reply.Status != string(JobCanceled) {
+		t.Fatalf("job status = %q, want canceled", reply.Status)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("result status = %d, want 409", resp.StatusCode)
 	}
 }

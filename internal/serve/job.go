@@ -449,11 +449,12 @@ func (s *Service) finishJob(job *Job, resp *Response, err error) {
 	s.log.Info("job finished", attrs...)
 }
 
-// runJob drives one asynchronous job through the same cache tiers →
-// singleflight → worker-pool path as the synchronous Optimize,
-// pumping the shared flight's progress stream into the job's own log
-// so every deduplicated sibling (and the SSE watchers of each) sees
-// identical live snapshots.
+// runJob drives one job through the cache tiers → singleflight →
+// worker-pool path — the single implementation of lookup, load
+// shedding, join and wait that every request runs — pumping the shared
+// flight's progress stream into the job's own log so every
+// deduplicated sibling (and the SSE watchers of each) sees identical
+// live snapshots.
 func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Graph, prio int, degraded bool) {
 	// Panic isolation for the job runner itself (the worker-pool run has
 	// its own recover): the job must always reach a terminal state —
@@ -472,6 +473,8 @@ func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Gra
 			}
 		}
 	}()
+	// A cached full-quality answer rescues even an over-quota request:
+	// shedding only applies to work, and a cache hit is free.
 	if entry, tier, ok := s.lookup(ctx, q.key); ok {
 		res, err := entry.inVocabulary(q.names)
 		if err != nil {

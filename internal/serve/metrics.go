@@ -89,11 +89,11 @@ func newMetrics(s *Service) *metrics {
 		runErrors: r.Counter("tensat_run_errors_total", "Cold optimization runs that failed."),
 		inFlight:  r.Gauge("tensat_optimizations_inflight", "Optimizations currently holding a worker slot."),
 
-		jobsSubmitted: r.Counter("tensat_jobs_submitted_total", "Asynchronous jobs accepted by POST /v1/jobs."),
-		jobsDone:      r.Counter("tensat_jobs_done_total", "Asynchronous jobs finished successfully."),
-		jobsCanceled:  r.Counter("tensat_jobs_canceled_total", "Asynchronous jobs canceled or timed out."),
-		jobsFailed:    r.Counter("tensat_jobs_failed_total", "Asynchronous jobs that failed."),
-		jobsRunning:   r.Gauge("tensat_jobs_running", "Asynchronous jobs currently running."),
+		jobsSubmitted: r.Counter("tensat_jobs_submitted_total", "Jobs accepted (POST /v1/jobs and synchronous Optimize calls)."),
+		jobsDone:      r.Counter("tensat_jobs_done_total", "Jobs finished successfully."),
+		jobsCanceled:  r.Counter("tensat_jobs_canceled_total", "Jobs canceled or timed out."),
+		jobsFailed:    r.Counter("tensat_jobs_failed_total", "Jobs that failed."),
+		jobsRunning:   r.Gauge("tensat_jobs_running", "Jobs currently running."),
 
 		phaseSeconds: r.HistogramVec("tensat_phase_seconds",
 			"Pipeline phase latency by phase (explore, search, apply, rebuild, extract_greedy, extract_ilp).",

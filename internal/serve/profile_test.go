@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,10 +178,15 @@ func TestCrossProfileCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestUnknownProfileNamesAre400s checks both surfaces reject unknown
-// profile names with a client error listing what exists.
+// TestUnknownProfileNamesAre400s checks that job submission over HTTP
+// and the synchronous Go API reject unknown profile names with a client
+// error listing what exists.
 func TestUnknownProfileNamesAre400s(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
+	g, err := tensor.UnmarshalGraph([]byte(figure2Wire))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		opts     RequestOptions
 		wantName string
@@ -195,9 +202,8 @@ func TestUnknownProfileNamesAre400s(t *testing.T) {
 		if !bytes.Contains([]byte(raw), []byte("known:")) || !bytes.Contains([]byte(raw), []byte(c.wantName)) {
 			t.Errorf("error %q does not list the known names (want %q)", raw, c.wantName)
 		}
-		status, _, raw = postOptimize(t, ts.URL, OptimizeRequest{Graph: figure2Wire, Options: opts})
-		if status != http.StatusBadRequest {
-			t.Fatalf("sync optimize with %+v: status %d, want 400: %s", opts, status, raw)
+		if _, err := s.Optimize(context.Background(), g, opts); !errors.Is(err, ErrBadOptions) {
+			t.Fatalf("sync optimize with %+v: %v, want ErrBadOptions", opts, err)
 		}
 	}
 }
@@ -346,9 +352,18 @@ func TestJobListing(t *testing.T) {
 
 // TestOperationalPathShims: the operational endpoints answer only
 // under /v1, with no Deprecation header; the bare pre-/v1 spellings
-// are gone.
+// and the synchronous POST /optimize are gone.
 func TestOperationalPathShims(t *testing.T) {
 	_, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/optimize", "application/json",
+		strings.NewReader(`{"graph": "(output (relu (input \"x@8 8\")))"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /optimize: status %d, want 404 or 405", resp.StatusCode)
+	}
 	for _, path := range []string{"/stats", "/healthz", "/readyz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

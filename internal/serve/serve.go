@@ -9,10 +9,9 @@
 // extraction. Stats exposes hit/miss/dedup counters, in-flight load,
 // job counters, and p50/p95 cold latencies.
 //
-// Two request surfaces share that machinery. Optimize is synchronous:
-// it blocks the caller until the run (or its cached/deduplicated
-// stand-in) finishes. SubmitJob is asynchronous: it registers a Job in
-// a TTL-bounded, capacity-capped store and returns immediately; the
+// Every request runs as a job. SubmitJob registers a Job in a
+// TTL-bounded, capacity-capped store and returns immediately; Optimize
+// is the synchronous wrapper that submits a job and waits for it. The
 // job's live progress (exploration iterations, ILP incumbents)
 // streams through a per-job broadcast log that HTTP exposes by polling
 // and as server-sent events. Deduplicated jobs share one progress
@@ -238,7 +237,7 @@ func isZeroOptions(o tensat.Options) bool {
 
 // RequestOptions are the per-request optimization knobs. The zero
 // value inherits every setting from the service's Config.Base. Field
-// names double as the HTTP JSON schema of POST /optimize.
+// names double as the HTTP JSON schema of POST /v1/jobs.
 //
 // Every exported field must be folded into the effective
 // tensat.Options by apply — that is how request knobs reach the cache
@@ -558,8 +557,7 @@ func (q request) keyParts() cachestore.KeyParts {
 }
 
 // prepare validates ro against the service configuration and computes
-// the request's cache identity — the shared head of the synchronous
-// and asynchronous submission paths.
+// the request's cache identity — the head of the job submission path.
 func (s *Service) prepare(g *tensat.Graph, ro RequestOptions) (request, error) {
 	var q request
 	var err error
@@ -731,10 +729,15 @@ func (s *Service) cacheResult(key string, entry *cachedResult) {
 	}
 }
 
-// Optimize answers one request: cache lookup, then singleflight join
-// or a fresh run on the worker pool. Canceling ctx returns promptly
-// with ctx.Err() — the shared run keeps going while any other request
-// still wants it, and an abandoned or failed run is never cached.
+// Optimize is the synchronous Go API: it submits the request as a job
+// and waits for it, so a call shares the job path's cache tiers,
+// singleflight and worker pool. Because the call is a job, it is
+// listed by Jobs and counted in the tensat_jobs_* metrics, holds a
+// job-store slot (ErrJobStoreFull when MaxJobs jobs are all running),
+// and Drain waits for it. Canceling ctx cancels the job and returns
+// ctx.Err() — a deadline reads as context.DeadlineExceeded; the shared
+// run keeps going while any other request still wants it, and an
+// abandoned or failed run is never cached.
 func (s *Service) Optimize(ctx context.Context, g *tensat.Graph, ro RequestOptions) (*Response, error) {
 	return s.OptimizeAs(ctx, g, ro, nil)
 }
@@ -747,62 +750,16 @@ func (s *Service) OptimizeAs(ctx context.Context, g *tensat.Graph, ro RequestOpt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.drain.active() {
-		return nil, ErrDraining
-	}
-	q, err := s.prepare(g, ro)
+	job, err := s.SubmitJobAs(g, ro, 0, tn)
 	if err != nil {
 		return nil, err
-	}
-	s.metrics.requests.With(q.prof.RuleSet, q.prof.CostModel).Inc()
-	prio, degraded, err := s.admit(tn)
-	if err != nil {
-		return nil, err
-	}
-	if tn != nil && s.cfg.Tenants != nil {
-		defer s.cfg.Tenants.Release(tn.Name, degraded)
-	}
-
-	// A cached full-quality answer rescues even an over-quota request:
-	// shedding only applies to work, and a cache hit is free.
-	if entry, tier, ok := s.lookup(ctx, q.key); ok {
-		res, err := entry.inVocabulary(q.names)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Result: res, Fingerprint: q.fp, Cached: true, Tier: tier}, nil
-	}
-	s.metrics.cacheMisses.Inc()
-
-	runKey, runOpts := q.key, q.opts
-	if degraded {
-		runKey += shedKeySuffix
-		runOpts.Extractor = tensat.ExtractGreedy
-		s.metrics.shed.Inc()
-		s.log.Info("load shedding request", "tenant", tn.Name, "fingerprint", q.fp)
-	}
-	c, leader := s.flight.join(runKey)
-	if leader {
-		c.tensors = q.names // published to followers by close(c.done)
-		go s.run(runKey, q.keyParts(), c, g, runOpts, prio, degraded)
-	} else {
-		s.metrics.cacheDedup.Inc()
 	}
 	select {
-	case <-c.done:
-		if c.err != nil {
-			return nil, c.err
-		}
-		// A follower's graph may spell the tensors differently than the
-		// leader's; answer in the follower's vocabulary.
-		res, err := (&cachedResult{res: c.res, tensors: c.tensors}).inVocabulary(q.names)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Result: res, Fingerprint: q.fp, Deduped: !leader, Degraded: degraded}, nil
+	case <-job.Done():
+		return job.Outcome()
 	case <-ctx.Done():
-		s.flight.leave(runKey, c)
-		s.metrics.canceled.Inc()
+		job.Cancel()
+		<-job.Done()
 		return nil, ctx.Err()
 	}
 }

@@ -281,6 +281,64 @@ func TestAbandonedRunIsCanceledWhenLastWaiterLeaves(t *testing.T) {
 	}
 }
 
+// TestOptimizeRunsAsJob: a synchronous Optimize call is a job. A call
+// whose deadline expires returns DeadlineExceeded promptly, leaves its
+// job canceled and caches nothing; Drain waits for an in-flight call.
+func TestOptimizeRunsAsJob(t *testing.T) {
+	s := New(Config{Workers: 1})
+	release := make(chan struct{})
+	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
+		select {
+		case <-release:
+			return stubResult(t), nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := s.Optimize(ctx, testGraph(t, 1), RequestOptions{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("timed-out call returned after %v", d)
+	}
+	jobs := s.Jobs()
+	if len(jobs) != 1 {
+		t.Fatalf("%d jobs listed, want the timed-out call's job", len(jobs))
+	}
+	if status, _ := jobs[0].Status(); status != JobCanceled {
+		t.Fatalf("job status = %s, want canceled", status)
+	}
+	if st := s.Stats(); st.CacheEntries != 0 || st.Jobs.Canceled != 1 {
+		t.Fatalf("stats = %+v, want no cache entry and one canceled job", st)
+	}
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.Optimize(context.Background(), testGraph(t, 2), RequestOptions{})
+		errc <- err
+	}()
+	waitFor(t, func() bool { return s.Stats().Jobs.Running == 1 })
+	dctx, dcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	err := s.Drain(dctx)
+	dcancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain with an in-flight Optimize = %v, want deadline exceeded", err)
+	}
+	close(release)
+	if err := <-errc; err != nil {
+		t.Fatalf("in-flight Optimize during drain: %v", err)
+	}
+	dctx, dcancel = context.WithTimeout(context.Background(), 10*time.Second)
+	defer dcancel()
+	if err := s.Drain(dctx); err != nil {
+		t.Fatalf("Drain after release: %v", err)
+	}
+}
+
 func TestConcurrentDistinctRequestsRunInParallel(t *testing.T) {
 	const n = 4
 	s := New(Config{Workers: n})

@@ -58,12 +58,11 @@ type Stats struct {
 	// Draining reports whether the service is shutting down gracefully.
 	StoreDegraded bool
 	Draining      bool
-	// Jobs counts the asynchronous job lifecycle (submitted, running,
-	// done, canceled, failed).
+	// Jobs counts the job lifecycle (submitted, running, done,
+	// canceled, failed); synchronous Optimize calls are jobs too.
 	Jobs JobCounters
 	// Profiles counts requests per optimization profile, keyed
-	// "<ruleset>/<costmodel>" (e.g. "taso-default/t4") — both the
-	// synchronous and the job surface contribute.
+	// "<ruleset>/<costmodel>" (e.g. "taso-default/t4").
 	Profiles map[string]uint64
 	// Search aggregates the e-matching search-phase counters over every
 	// cold (uncached) optimization this server completed, so the

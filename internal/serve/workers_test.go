@@ -9,7 +9,7 @@ import (
 	"tensat"
 )
 
-// TestWorkersKnobFlowsIntoOptions checks the POST /optimize "workers"
+// TestWorkersKnobFlowsIntoOptions checks the request "workers"
 // knob reaches tensat.Options, participates in the cache key (under a
 // timeout the worker count changes how far a run explores), and is
 // validated.

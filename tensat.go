@@ -80,7 +80,6 @@
 //	GET    /v1/stats            — cache, latency, job and profile counters
 //	GET    /v1/healthz          — liveness
 //	GET    /v1/readyz           — readiness (503 while draining)
-//	POST   /optimize            — deprecated synchronous shim
 //
 // Graphs travel in the textual wire format of Graph.MarshalText
 // (S-expressions with let-bindings for shared subgraphs; see
